@@ -2,11 +2,11 @@
 
 * :mod:`repro.bench.stats` — bootstrap median CIs [6], Shapiro–Wilk
   normality [24], Wilcoxon–Mann–Whitney median comparison, ECDFs;
-* :mod:`repro.bench.tracer` — bpftrace-style phase measurement
-  (CLONE/EXEC/RTS/APPINIT, §4.2.1);
 * :mod:`repro.bench.workload` — the load generator (hold the first
   request until ready, then constant-rate sequential load, §4.1);
-* :mod:`repro.bench.harness` — the 200-repetition factorial runner;
+* :mod:`repro.bench.harness` — the 200-repetition factorial runner,
+  with per-phase start-up times (CLONE/EXEC/RTS/APPINIT, §4.2.1) from
+  the :mod:`repro.obs.profile` profiler;
 * :mod:`repro.bench.figures` — one entry point per paper table/figure.
 """
 
@@ -19,9 +19,9 @@ from repro.bench.stats import (
     median_difference_ci,
     shapiro_wilk,
 )
-from repro.bench.tracer import PhaseBreakdown, PhaseTracer
 from repro.bench.workload import LoadGenerator, LoadResult
 from repro.bench.harness import (
+    PhaseBreakdown,
     StartupSample,
     StartupSummary,
     run_service_experiment,
@@ -37,7 +37,6 @@ __all__ = [
     "median_difference_ci",
     "shapiro_wilk",
     "PhaseBreakdown",
-    "PhaseTracer",
     "LoadGenerator",
     "LoadResult",
     "StartupSample",

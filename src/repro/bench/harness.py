@@ -22,12 +22,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import make_world, obs
 from repro.obs.log import bound_trace_provider
 from repro.bench.stats import ConfidenceInterval, bootstrap_median_ci, median
-from repro.bench.tracer import PhaseBreakdown, PhaseTracer
 from repro.bench.workload import LoadGenerator
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, SnapshotPolicy
 from repro.criu.restore import RestoreMode
 from repro.functions.base import FunctionApp, make_app
+from repro.obs import profile as prof
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.rng import _derive_seed
 
@@ -38,6 +38,36 @@ def _resolve_factory(function) -> AppFactory:
     if callable(function):
         return function
     return lambda: make_app(function)
+
+
+@dataclass(frozen=True)
+class PhaseBreakdown:
+    """Durations of the four start-up phases (ms, paper §4.2.1)."""
+
+    clone_ms: float
+    exec_ms: float
+    rts_ms: float
+    appinit_ms: float
+
+    @property
+    def total_ms(self) -> float:
+        return self.clone_ms + self.exec_ms + self.rts_ms + self.appinit_ms
+
+    @classmethod
+    def from_totals(cls, totals: Dict[str, float]) -> "PhaseBreakdown":
+        """From :meth:`PhaseProfiler.phase_totals` (Figure-4 keys)."""
+        return cls(clone_ms=totals[prof.PHASE_CLONE],
+                   exec_ms=totals[prof.PHASE_EXEC],
+                   rts_ms=totals[prof.PHASE_RTS],
+                   appinit_ms=totals[prof.PHASE_APPINIT])
+
+    def as_dict(self) -> dict:
+        return {
+            "CLONE": self.clone_ms,
+            "EXEC": self.exec_ms,
+            "RTS": self.rts_ms,
+            "APPINIT": self.appinit_ms,
+        }
 
 
 @dataclass
@@ -125,20 +155,23 @@ def _startup_repetition(
         if technique == "prebake":
             report = manager.deploy(app, policy=policy)
             snapshot_mib = report.snapshot_mib
-        tracer = PhaseTracer(kernel) if trace_phases else None
         starter = manager.starter(
             technique, policy=policy, restore_mode=restore_mode,
             in_memory=in_memory,
             version=(manager.current_version(app.name)
                      if technique == "prebake" else 1),
         )
-        if tracer:
-            tracer.start_episode()
+        profiler = prof.install(kernel) if trace_phases else None
+        if profiler is not None:
+            profiler.reset()
         handle = starter.start(app)
+        # Read before any request: a lazily restored replica pays its
+        # deferred page faults on the first invoke, which is serve
+        # time, not APPINIT.
+        phases = (PhaseBreakdown.from_totals(profiler.phase_totals())
+                  if profiler is not None else None)
         if resolved_metric == "first_response":
             handle.invoke()
-        if tracer:
-            tracer.stop_episode()
         if trace_sink is not None and resolved_metric != "first_response":
             # The measured episode is over (startup_ms derives from
             # the recorded spawn/ready stamps); drive one request so
@@ -148,7 +181,7 @@ def _startup_repetition(
         repetition=rep,
         startup_ms=handle.startup_ms(resolved_metric),
         snapshot_mib=snapshot_mib,
-        phases=tracer.breakdown() if tracer else None,
+        phases=phases,
     )
     if trace_sink is not None:
         # Tracer self-check: a clean episode leaves no span open.

@@ -76,7 +76,6 @@ class Gateway:
             prometheus = PrometheusLite(registry=registry)
         self.prometheus = prometheus
         self._services: Dict[str, DeployedService] = {}
-        self._latency: Dict[str, "LatencyDigest"] = {}
         self.prometheus.subscribe(self._on_alert)
 
     # -- deploy -------------------------------------------------------------------
@@ -156,26 +155,23 @@ class Gateway:
             else:
                 replica = replicas[0]
             response = replica.watchdog.forward(request)
-        self._record_latency(service, response.service_ms)
         self.prometheus.observe("gateway_service_duration_ms",
                                 response.service_ms,
                                 labels={"function": service})
         return response
 
-    def _record_latency(self, service: str, service_ms: float) -> None:
-        from repro.bench.digest import LatencyDigest
-        digest = self._latency.get(service)
-        if digest is None:
-            digest = LatencyDigest()
-            self._latency[service] = digest
-        digest.observe(service_ms)
-
     def latency_summary(self, service: str) -> Dict[str, float]:
-        """Streaming latency percentiles for one service (P² digest)."""
-        digest = self._latency.get(service)
-        if digest is None:
+        """Service-time percentiles for one service, read from the
+        ``gateway_service_duration_ms`` histogram ``invoke`` writes."""
+        histogram = self.prometheus.registry.histogram(
+            "gateway_service_duration_ms", labels={"function": service})
+        if histogram is None:
             raise GatewayError(f"no latency recorded for {service!r}")
-        return digest.summary()
+        summary = {"count": float(histogram.count), "mean": histogram.mean,
+                   "min": histogram.min_value, "max": histogram.max_value}
+        for q in (0.50, 0.90, 0.99):
+            summary[f"p{int(q * 100)}"] = histogram.quantile(q)
+        return summary
 
     def invoke_http(self, service: str, wire: bytes) -> bytes:
         """Wire-level entry point: HTTP request bytes in, response out.

@@ -221,6 +221,9 @@ class Kernel:
     def _reap(self, proc: Process) -> None:
         proc.state = ProcessState.DEAD
         proc.address_space.clear()
+        # The dead entry stays in the table; dropping the payload frees
+        # the runtime (its VMAs and class tables) it would otherwise pin.
+        proc.payload.clear()
         self._tracees.pop(proc.pid, None)
 
     # -- cgroup freezer -----------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The paper instrumented CLONE and EXEC with bpftrace system-call probes
 (§4.2.1). Here, the simulated kernel publishes enter/exit events for
-every syscall it executes and the benchmark tracer subscribes to them,
-so phase durations in the Figure 4 reproduction are *measured* from the
-event stream rather than read out of the cost model.
+every syscall it executes, and runtimes publish ``runtime.main`` /
+``runtime.ready`` lifecycle events. The Figure 4 phases themselves are
+attributed by :mod:`repro.obs.profile` at the same sites; the test
+suite derives them a second way from this event stream, as bpftrace
+would, and checks that the two agree.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ decisions, re-evaluated once per forecast window:
 The X13 study (:mod:`repro.bench.prewarm_study`) sweeps the policy
 ladder — reactive, fixed keep-alive, histogram/EWMA, learned
 (attention), oracle — over the same trace; the platform runs one
-policy live through :class:`PrewarmController`, which feeds arrivals
-into :class:`repro.obs.timeseries.WindowedSeries` rings and hands the
-autoscaler budget-capped :class:`PrewarmAction` plans.
+policy live through :class:`PrewarmController`, which counts arrivals
+per forecast window and hands the autoscaler budget-capped
+:class:`PrewarmAction` plans.
 
 Policies are deterministic: per-key forecaster seeds derive from the
 policy seed and the key via ``repro.sim.rng._derive_seed``.
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.timeseries import VALUE_SAMPLE, WindowedSeries
 from repro.predict.forecast import (
     AttentionForecaster,
     EwmaForecaster,
@@ -406,10 +405,10 @@ class PrewarmStats:
 
 
 class PrewarmController:
-    """Feeds arrivals into per-function timeseries windows and plans.
+    """Counts arrivals per forecast window and plans.
 
-    ``note_arrival`` is called from the router path (cheap: one ring
-    append + one histogram bump); ``plan`` is called from the
+    ``note_arrival`` is called from the router path (cheap: one window
+    count + one histogram bump); ``plan`` is called from the
     autoscaler tick and returns the budget-capped actions for this
     pass. The controller never touches the kernel RNG or clock, so
     installing it leaves un-prewarmed runs byte-identical.
@@ -431,7 +430,7 @@ class PrewarmController:
                 horizon=cfg.horizon, seed=cfg.seed, **kwargs)
         else:
             self.policy = HistogramEwmaPolicy(**kwargs)
-        self._series: Dict[str, WindowedSeries] = {}
+        self._counts: Dict[str, Dict[int, int]] = {}  # window k -> arrivals
         self._fed_until: Dict[str, float] = {}
         self._last_arrival: Dict[str, float] = {}
         self.stats = PrewarmStats()
@@ -439,12 +438,13 @@ class PrewarmController:
     # -- arrival path --------------------------------------------------------
 
     def note_arrival(self, function: str, at_ms: float) -> None:
-        series = self._series.get(function)
-        if series is None:
-            series = WindowedSeries(
-                f"prewarm_arrivals:{function}", kind=VALUE_SAMPLE)
-            self._series[function] = series
-        series.record(at_ms, 1.0)
+        w = self.config.window_ms
+        k = math.floor(at_ms / w)
+        self._fed_until.setdefault(function, k * w)  # no earlier window fed
+        # Window k holds k*w <= t < k*w + w; t / w may round across an edge.
+        k += (at_ms >= k * w + w) - (at_ms < k * w)
+        counts = self._counts.setdefault(function, {})
+        counts[k] = counts.get(k, 0) + 1
         last = self._last_arrival.get(function)
         if last is not None:
             self.policy.note_gap(function, at_ms - last)
@@ -453,20 +453,21 @@ class PrewarmController:
     # -- planning ------------------------------------------------------------
 
     def _feed_windows(self, function: str, now_ms: float) -> None:
-        """Feed completed arrival windows to the policy (at most
-        ``horizon`` trailing ones, so a long idle stretch costs O(horizon))."""
-        series = self._series[function]
+        """Feed completed windows to the policy (``horizon`` at most)."""
         cfg = self.config
-        fed_until = self._fed_until.get(function, 0.0)
-        stats = series.windows(cfg.window_ms, t_end=now_ms)
-        completed = [s for s in stats
-                     if s.end_ms <= now_ms and s.start_ms >= fed_until]
-        if len(completed) > cfg.horizon:
-            completed = completed[-cfg.horizon:]
-        for stat in completed:
-            self.policy.observe_window(function, float(stat.count))
-            self._fed_until[function] = stat.end_ms
+        w, fed_until = cfg.window_ms, self._fed_until[function]
+        last = math.floor(now_ms / w)  # may be one off: the margins cover it
+        start = max(math.floor(fed_until / w) - 1, last - cfg.horizon - 2)
+        completed = [k for k in range(start, last + 1)
+                     if k * w >= fed_until and k * w + w <= now_ms]
+        counts = self._counts[function]
+        for k in completed[-cfg.horizon:]:
+            self.policy.observe_window(function, float(counts.get(k, 0)))
+            self._fed_until[function] = k * w + w
             self.stats.windows_fed += 1
+        if completed:
+            self._counts[function] = {k: n for k, n in counts.items()
+                                      if k > completed[-1]}
 
     def keepalive_ms(self, function: str,
                      default_ms: float) -> float:
@@ -477,7 +478,7 @@ class PrewarmController:
         is floored at 1.5 forecast windows, so deliberately pre-placed
         replicas survive the GC pass between two plans instead of
         churning (prewarm → gc → prewarm)."""
-        if function not in self._series:
+        if function not in self._counts:
             return default_ms
         value = self.policy.keepalive_ms(function)
         if value <= 0:
@@ -505,7 +506,7 @@ class PrewarmController:
             self.stats.burn_boosts += 1
         budget = cfg.max_prewarm_per_tick
         actions: List[PrewarmAction] = []
-        for function in sorted(self._series):
+        for function in sorted(self._counts):
             self._feed_windows(function, now_ms)
             forecast = self.policy.forecast(function)
             target = self.policy.target_warm(function)
@@ -513,9 +514,7 @@ class PrewarmController:
                 target = int(math.ceil(target * boost))
             target = min(target, cfg.max_warm_per_function)
             have = int(current_warm.get(function, 0))
-            add = max(0, target - have)
-            if add > budget:
-                add = budget
+            add = min(max(0, target - have), budget)
             prefetch = cfg.prefetch and (target > 0 or add > 0)
             if add <= 0 and not prefetch:
                 continue

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.harness import run_service_experiment, run_startup_experiment
 from repro.bench.report import format_interval, format_table, stacked_bar
-from repro.bench.tracer import PhaseTracer, TraceError
 from repro.bench.workload import LoadGenerator
 from repro.core.manager import PrebakeManager
 from repro.core.policy import AfterReady, AfterWarmup
@@ -12,6 +11,7 @@ from repro.core.starters import VanillaStarter
 from repro.functions import make_app
 from repro.osproc.probes import SyscallRecord
 from repro.sim.costmodel import DEFAULT_COST_MODEL
+from tests.phase_tracer import PhaseTracer, TraceError
 
 
 def _emit(kernel, syscall, phase):

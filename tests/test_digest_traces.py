@@ -1,13 +1,9 @@
-"""Tests for the P² quantile digest and trace-file handling."""
-
-import random
+"""Tests for trace-file handling and the workload synthesizer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.digest import LatencyDigest, P2Quantile
-from repro.bench.stats import quantile as exact_quantile
 from repro.bench.traces import (
     TraceEvent,
     TraceFormatError,
@@ -18,85 +14,6 @@ from repro.bench.traces import (
     per_function_counts,
     synthesize_workload,
 )
-
-
-class TestP2Quantile:
-    def test_invalid_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).observe(float("nan"))
-
-    def test_empty_is_zero(self):
-        assert P2Quantile(0.5).value == 0.0
-
-    def test_small_samples_exactish(self):
-        estimator = P2Quantile(0.5)
-        for value in (5.0, 1.0, 3.0):
-            estimator.observe(value)
-        assert estimator.value == 3.0
-
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_accuracy_on_normal(self, q):
-        rng = random.Random(1)
-        data = [rng.gauss(100.0, 15.0) for _ in range(5000)]
-        estimator = P2Quantile(q)
-        for value in data:
-            estimator.observe(value)
-        exact = exact_quantile(data, q)
-        assert estimator.value == pytest.approx(exact, rel=0.03)
-
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    def test_accuracy_on_lognormal(self, q):
-        rng = random.Random(2)
-        data = [rng.lognormvariate(3.0, 0.5) for _ in range(5000)]
-        estimator = P2Quantile(q)
-        for value in data:
-            estimator.observe(value)
-        exact = exact_quantile(data, q)
-        assert estimator.value == pytest.approx(exact, rel=0.05)
-
-    def test_constant_stream(self):
-        estimator = P2Quantile(0.9)
-        for _ in range(100):
-            estimator.observe(7.0)
-        assert estimator.value == 7.0
-
-    @given(data=st.lists(st.floats(min_value=0.0, max_value=1e4),
-                         min_size=1, max_size=200))
-    @settings(max_examples=50)
-    def test_estimate_within_observed_range(self, data):
-        estimator = P2Quantile(0.9)
-        for value in data:
-            estimator.observe(value)
-        assert min(data) <= estimator.value <= max(data)
-
-
-class TestLatencyDigest:
-    def test_summary_fields(self):
-        digest = LatencyDigest()
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            digest.observe(value)
-        summary = digest.summary()
-        assert summary["count"] == 6
-        assert summary["mean"] == pytest.approx(3.5)
-        assert summary["min"] == 1.0 and summary["max"] == 6.0
-        assert "p50" in summary and "p99" in summary
-
-    def test_untracked_quantile_rejected(self):
-        with pytest.raises(KeyError):
-            LatencyDigest().quantile(0.75)
-
-    def test_empty_quantiles_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyDigest(quantiles=())
-
-    def test_empty_digest_mean(self):
-        assert LatencyDigest().mean == 0.0
 
 
 class TestTraceFiles:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import PrebakeManager, make_world
-from repro.bench.tracer import PhaseTracer
 from repro.core.policy import AfterReady, AfterWarmup
 from repro.faas import FaaSPlatform
 from repro.faas.openfaas.stack import make_openfaas_stack
@@ -14,6 +13,7 @@ from repro.functions import (
     small_function,
 )
 from repro.runtime.base import Request
+from tests.phase_tracer import PhaseTracer
 
 
 class TestPaperHeadlineScenario:

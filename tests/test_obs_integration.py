@@ -14,7 +14,6 @@ import pytest
 
 from repro import make_world, obs
 from repro.bench.harness import run_startup_experiment
-from repro.bench.tracer import PhaseTracer
 from repro.core.manager import PrebakeManager
 from repro.faas import FaaSPlatform
 from repro.functions import MarkdownFunction, NoopFunction, make_app
@@ -25,6 +24,7 @@ from repro.obs.export import (
     render_prometheus,
     write_trace_jsonl,
 )
+from tests.phase_tracer import PhaseTracer
 
 
 class TestRestoreSpanAgreement:

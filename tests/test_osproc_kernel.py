@@ -1,7 +1,13 @@
 """Tests for the simulated kernel: syscalls, freezer, ptrace, procfs."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro import make_world
+from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.functions.base import make_app
 from repro.osproc.kernel import Kernel, KernelError, PermissionDenied
 from repro.osproc.namespaces import NamespaceKind
 from repro.osproc.process import Capability, ProcessState
@@ -125,6 +131,40 @@ class TestExitWaitKill:
         kernel.kill(child.pid)
         assert child.state is ProcessState.DEAD
         assert child.address_space.rss_bytes == 0
+
+    def test_reap_drops_payload(self, kernel):
+        killed = kernel.clone(kernel.init_process)
+        waited = kernel.clone(kernel.init_process)
+        for proc in (killed, waited):
+            proc.payload["runtime"] = object()
+        kernel.kill(killed.pid)
+        kernel.exit(waited)
+        assert waited.payload  # a zombie keeps it until reaped
+        kernel.wait(kernel.init_process, waited.pid)
+        assert killed.payload == {} and waited.payload == {}
+
+    def test_gc_reaped_replicas_free_their_runtimes(self):
+        """Dead entries stay in the process table; they must not pin the
+        runtime (and its pagemaps) of every replica ever reaped."""
+        world = make_world(seed=9)
+        platform = FaaSPlatform(world.kernel, PlatformConfig())
+        platform.register_function(lambda: make_app("markdown"),
+                                   idle_timeout_ms=100.0)
+        runtimes = []
+        for _ in range(5):
+            platform.invoke("markdown")
+            (replica,) = platform.deployer.replicas("markdown")
+            runtimes.append(weakref.ref(replica.handle.runtime))
+            del replica
+            world.kernel.clock.advance(1_000.0)
+            platform.gc_tick()
+        assert platform.replica_count("markdown") == 0
+        dead = [p for p in world.kernel.processes.values()
+                if p.state is ProcessState.DEAD]
+        assert len(dead) >= 5
+        assert all(p.payload == {} for p in dead)
+        gc.collect()
+        assert all(ref() is None for ref in runtimes)
 
     def test_kill_is_idempotent(self, kernel):
         child = kernel.clone(kernel.init_process)
