@@ -9,43 +9,115 @@ the quantity that drives restore latency in the paper.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.faults.errors import SnapshotCorrupted
-from repro.osproc.memory import PAGE_SIZE
+from repro.osproc.memory import PAGE_SIZE, TAGS
 
 
-def _stable(obj: Any, _depth: int = 0) -> Any:
-    """Project ``obj`` into a JSON-able form that is stable across runs.
+# Leaves the digest projection passes through unchanged (JSON-native).
+_LEAF_TYPES = (str, int, float, bool)
+_IMMUTABLE_LEAVES = frozenset({str, int, float, bool, type(None)})
+_MAX_DEPTH = 12
+_encode_str = json.encoder.encode_basestring_ascii
+
+# Text of deeply immutable tuples (the shared class tables), keyed by
+# (id, depth). Each entry holds the tuple itself, so its id cannot be
+# reused while the entry lives; the table is dropped when it fills.
+_TUPLE_TEXT: Dict[Tuple[int, int], Tuple[tuple, str]] = {}
+_TUPLE_TEXT_MIN_LEN = 16
+_TUPLE_TEXT_MAX = 256
+
+
+def _leaf(obj: Any) -> str:
+    """JSON text of one leaf, exactly as ``json.dumps`` writes it."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        return repr(obj)
+    return json.dumps(obj)  # None, bools, NaN/inf, int and float subclasses
+
+
+def _object(fields: Dict[str, str]) -> str:
+    return "{%s}" % ", ".join(f"{_encode_str(k)}: {v}"
+                              for k, v in sorted(fields.items()))
+
+
+def _immutable(obj: Any) -> bool:
+    """Whether ``obj``'s projection can never change: exact leaves,
+    tuples of such, and frozen dataclasses whose attributes are such."""
+    kind = type(obj)
+    if kind in _IMMUTABLE_LEAVES:
+        return True
+    if kind is tuple:
+        return all(_immutable(v) for v in obj)
+    params = getattr(kind, "__dataclass_params__", None)
+    attrs = getattr(obj, "__dict__", None)
+    return (params is not None and params.frozen and attrs is not None
+            and all(_immutable(v) for v in attrs.values()))
+
+
+def canonical_json(obj: Any, _depth: int = 0) -> str:
+    """Stable JSON text of ``obj``, as the digests hash it.
 
     ``repr`` of plain objects embeds memory addresses, which would make
     content digests differ between identically seeded runs; instead,
-    objects are projected as class name + sorted attribute dict.
+    objects are projected as class name + sorted attribute dict, dict
+    keys as strings, sets in ``str`` order, and anything nested deeper
+    than 12 levels as a depth-capped marker. The text is byte-for-byte
+    ``json.dumps(projection, sort_keys=True)``, produced without
+    building the projection; deeply immutable tuples are encoded once.
     """
-    if _depth > 12:
-        return f"<depth-capped {type(obj).__name__}>"
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
+    if _depth > _MAX_DEPTH:
+        return _encode_str(f"<depth-capped {type(obj).__name__}>")
+    if obj is None or isinstance(obj, _LEAF_TYPES):
+        return _leaf(obj)
     if isinstance(obj, dict):
-        return {str(k): _stable(v, _depth + 1)
-                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        kept = {str(k): v for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return _object({k: canonical_json(v, _depth + 1) for k, v in kept.items()})
     if isinstance(obj, (list, tuple, set, frozenset)):
+        cacheable = type(obj) is tuple and len(obj) >= _TUPLE_TEXT_MIN_LEN
+        if cacheable:
+            hit = _TUPLE_TEXT.get((id(obj), _depth))
+            if hit is not None:
+                return hit[1]
         items = sorted(obj, key=str) if isinstance(obj, (set, frozenset)) else obj
-        return [_stable(v, _depth + 1) for v in items]
+        text = "[%s]" % ", ".join(canonical_json(v, _depth + 1) for v in items)
+        if cacheable and _immutable(obj):
+            if len(_TUPLE_TEXT) >= _TUPLE_TEXT_MAX:
+                _TUPLE_TEXT.clear()
+            _TUPLE_TEXT[(id(obj), _depth)] = (obj, text)
+        return text
     attrs = getattr(obj, "__dict__", None)
     if attrs is not None:
-        projected = {k: _stable(v, _depth + 1) for k, v in sorted(attrs.items())}
-        projected["__class__"] = type(obj).__name__
-        return projected
-    return f"<{type(obj).__name__}>"
+        fields = {k: canonical_json(v, _depth + 1) for k, v in attrs.items()}
+        fields["__class__"] = _encode_str(type(obj).__name__)
+        return _object(fields)
+    return _encode_str(f"<{type(obj).__name__}>")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class VMADescriptor:
-    """Serialized form of one VMA."""
+    """Serialized form of one VMA.
+
+    Frozen, with tuple page lists, so what a restore derives from its
+    pages is computed once per descriptor and cached on it: the index
+    and interned tag-id arrays the transmute populates from, and the
+    JSON text the image digests hash. ``dataclasses.replace`` (tamper,
+    repair) builds a fresh instance with empty caches.
+    """
 
     start: int
     length: int
@@ -58,9 +130,40 @@ class VMADescriptor:
     resident_indices: tuple
     content_tags: tuple  # parallel to resident_indices
 
+    def __post_init__(self) -> None:
+        # The caches below are sound only over immutable page lists.
+        for name in ("resident_indices", "content_tags"):
+            value = getattr(self, name)
+            if type(value) is not tuple:
+                object.__setattr__(self, name, tuple(value))
+
     @property
     def resident_pages(self) -> int:
         return len(self.resident_indices)
+
+    @functools.cached_property
+    def index_array(self) -> np.ndarray:
+        """Resident page indices as a read-only int64 array."""
+        return _read_only(np.fromiter(self.resident_indices, dtype=np.int64,
+                                      count=len(self.resident_indices)))
+
+    @functools.cached_property
+    def tag_ids(self) -> np.ndarray:
+        """Content tags interned in :data:`TAGS`, as a read-only int32 array."""
+        return _read_only(TAGS.intern_many(self.content_tags))
+
+    @functools.cached_property
+    def digest_text(self) -> Tuple[bytes, int]:
+        """(JSON of this VMA's content-digest entry, meta prefix length).
+
+        The entry is ``[geometry..., indices, tags]``; the meta digest
+        hashes the same bytes up to the prefix length, then ``]``.
+        """
+        meta = json.dumps([self.start, self.length, self.kind, self.prot,
+                           self.label, self.file_path, self.file_offset,
+                           self.file_size, list(self.resident_indices)])
+        tags = json.dumps(list(self.content_tags))
+        return f"{meta[:-1]}, {tags}]".encode("ascii"), len(meta) - 1
 
 
 @dataclass(frozen=True)
@@ -149,27 +252,7 @@ class CheckpointImage:
         file sizes — any bit rot in those shows up as a mismatch
         against the sealed :attr:`digest`.
         """
-        payload = {
-            "pid": self.pid,
-            "comm": self.comm,
-            "argv": self.argv,
-            "namespaces": {k: v for k, v in sorted(self.namespace_ids.items())},
-            "vmas": [
-                [v.start, v.length, v.kind, v.prot, v.label, v.file_path,
-                 v.file_offset, v.file_size, list(v.resident_indices),
-                 list(v.content_tags)]
-                for v in self.vmas
-            ],
-            "fds": [
-                [f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
-                for f in self.fds
-            ],
-            "runtime_state": _stable(self.runtime_state),
-            "files": {name: f.size_bytes for name, f in sorted(self.files.items())},
-            "warm": self.warm,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+        return self._digest(pages=True)
 
     def compute_meta_digest(self) -> str:
         """SHA-256 over everything a restore consumes *except* pages.
@@ -180,26 +263,43 @@ class CheckpointImage:
         re-hashing any page content — the incremental verification the
         targeted repair path relies on.
         """
-        payload = {
+        return self._digest(pages=False)
+
+    def _digest(self, pages: bool) -> str:
+        """SHA-256 of ``json.dumps(payload, sort_keys=True)``, streamed.
+
+        The payload is read from the image's current fields on every
+        call; only the immutable parts' text comes from caches (each
+        descriptor's :attr:`VMADescriptor.digest_text`, the shared
+        class tables in :func:`canonical_json`).
+        """
+        head = json.dumps({
             "pid": self.pid,
             "comm": self.comm,
             "argv": self.argv,
-            "namespaces": {k: v for k, v in sorted(self.namespace_ids.items())},
-            "vmas": [
-                [v.start, v.length, v.kind, v.prot, v.label, v.file_path,
-                 v.file_offset, v.file_size, list(v.resident_indices)]
-                for v in self.vmas
-            ],
+            "namespaces": self.namespace_ids,
             "fds": [
                 [f.fd, f.path, f.offset, f.flags, f.is_socket, f.file_size]
                 for f in self.fds
             ],
-            "runtime_state": _stable(self.runtime_state),
-            "files": {name: f.size_bytes for name, f in sorted(self.files.items())},
-            "warm": self.warm,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()
+            "files": {name: f.size_bytes for name, f in self.files.items()},
+        }, sort_keys=True)
+        # Sorted payload keys: the head's, then runtime_state, vmas, warm.
+        sha = hashlib.sha256(head[:-1].encode("ascii"))
+        sha.update(b', "runtime_state": ')
+        sha.update(canonical_json(self.runtime_state).encode("ascii"))
+        sha.update(b', "vmas": [')
+        for position, vma in enumerate(self.vmas):
+            if position:
+                sha.update(b", ")
+            text, meta_len = vma.digest_text
+            if pages:
+                sha.update(text)
+            else:
+                sha.update(memoryview(text)[:meta_len])
+                sha.update(b"]")
+        sha.update(f'], "warm": {json.dumps(self.warm)}}}'.encode("ascii"))
+        return sha.hexdigest()
 
     def seal(self) -> str:
         """Record the content digests (done once, at dump time)."""
@@ -270,6 +370,14 @@ class CheckpointImage:
             if vma.resident_pages * PAGE_SIZE > vma.length:
                 raise ValueError(
                     f"VMA {vma.label!r}: more resident pages than the mapping holds"
+                )
+            indices = vma.index_array
+            if len(indices) and (
+                    indices[0] < 0 or indices[-1] >= vma.length // PAGE_SIZE
+                    or bool((indices[1:] <= indices[:-1]).any())):
+                raise ValueError(
+                    f"VMA {vma.label!r}: resident indices must be strictly "
+                    f"increasing within [0, {vma.length // PAGE_SIZE})"
                 )
 
 

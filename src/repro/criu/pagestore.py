@@ -296,8 +296,8 @@ def image_windows(
         count = len(vma.resident_indices)
         if count == 0:
             continue
-        indices = np.fromiter(vma.resident_indices, dtype=np.int64, count=count)
-        keys = TAGS.keys_of(TAGS.intern_many(vma.content_tags))
+        indices = vma.index_array
+        keys = TAGS.keys_of(vma.tag_ids)
         starts = (indices // chunk_pages) * chunk_pages
         rel = (indices - starts).tolist()
         # Window boundaries: positions where the chunk-aligned start

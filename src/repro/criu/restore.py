@@ -527,8 +527,7 @@ class RestoreEngine:
                 file_offset=desc.file_offset,
                 label=desc.label,
             )
-            vma.populate_pages(desc.resident_indices, desc.content_tags,
-                               dirty=False)
+            vma.populate_pages(desc.index_array, desc.tag_ids, dirty=False)
             if desc.file_path is not None:
                 # Mapping the file's dumped pages leaves them warm — the
                 # mechanism behind the paper's cheaper post-restore

@@ -10,6 +10,7 @@ hosted by simulated runtimes and drives the real compute substrates
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
@@ -24,10 +25,22 @@ class FunctionApp:
     """Base class for deployable functions."""
 
     runtime_kind = "jvm"
+    # Immutable once built (a frozen cost profile, a tuple of frozen
+    # classes): snapshots and restored replicas share them.
+    _SHARED_ATTRS = frozenset({"profile", "classes"})
 
     def __init__(self, profile: FunctionCosts) -> None:
         self.profile = profile
-        self.classes: List[SyntheticClass] = []
+        self.classes: Tuple[SyntheticClass, ...] = ()
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "FunctionApp":
+        """Copy the per-replica state; share the immutable attributes."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for key, value in self.__dict__.items():
+            clone.__dict__[key] = (value if key in self._SHARED_ATTRS
+                                   else copy.deepcopy(value, memo))
+        return clone
 
     @property
     def name(self) -> str:

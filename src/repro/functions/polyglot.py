@@ -85,7 +85,7 @@ class PythonNoopFunction(FunctionApp):
         profile = synthetic_costs("py-noop", classes=1, class_kib=4.0,
                                   base_rss_mib=7.0, service_ms=0.7)
         super().__init__(profile)
-        self.classes = []
+        self.classes = ()
 
     def artifact_path(self) -> str:
         return f"/srv/functions/{self.name}/handler.py"
@@ -104,7 +104,7 @@ class NodeNoopFunction(FunctionApp):
         profile = synthetic_costs("node-noop", classes=1, class_kib=4.0,
                                   base_rss_mib=10.0, service_ms=0.6)
         super().__init__(profile)
-        self.classes = []
+        self.classes = ()
 
     def artifact_path(self) -> str:
         return f"/srv/functions/{self.name}/handler.js"

@@ -29,7 +29,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -114,6 +114,9 @@ class _TagTable:
 
 
 TAGS = _TagTable()
+
+# Page tags as strings, or as an int32 array of ids interned in TAGS.
+_Tags = Union[Sequence[str], np.ndarray]
 
 
 class VMAKind(Enum):
@@ -284,13 +287,15 @@ class VMA(_VMABase):
         self._soft[window] = True
         self._resident_count += newly
 
-    def populate_pages(self, indices: Sequence[int], tags: Sequence[str],
+    def populate_pages(self, indices: Sequence[int], tags: _Tags,
                        dirty: bool = False) -> None:
         """Bulk-equivalent of ``touch(i, tag, dirty)`` per (index, tag) pair.
 
         ``indices`` must be unique (descriptor order from a dump is).
-        The restore transmute path uses this to rebuild a mapping's
-        resident set in one vectorized pass.
+        ``tags`` are strings or an int32 array of ids already interned
+        in :data:`TAGS`. The restore transmute path passes a
+        descriptor's cached arrays to rebuild a mapping's resident set
+        in one vectorized pass.
         """
         count = len(indices)
         if count == 0:
@@ -300,7 +305,7 @@ class VMA(_VMABase):
             raise MemoryError_(
                 f"page index out of range for VMA of {self.page_count} pages"
             )
-        ids = TAGS.intern_many(tags)
+        ids = tags if isinstance(tags, np.ndarray) else TAGS.intern_many(tags)
         was_resident = self._resident[idx]
         self._resident[idx] = True
         self._resident_count += count - int(was_resident.sum())
@@ -422,8 +427,12 @@ class SlowVMA(_VMABase):
         for i in range(first, first + count):
             self.touch(i, content_tag=content_tag)
 
-    def populate_pages(self, indices: Sequence[int], tags: Sequence[str],
+    def populate_pages(self, indices: Sequence[int], tags: _Tags,
                        dirty: bool = False) -> None:
+        if isinstance(tags, np.ndarray):
+            tags = TAGS.tags_of(tags)
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()  # Page.index stays a plain int
         for index, tag in zip(indices, tags):
             self.touch(index, content_tag=tag, dirty=dirty)
 

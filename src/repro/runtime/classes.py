@@ -11,9 +11,10 @@ requested total.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,19 @@ class SyntheticClass:
             raise ValueError(f"class size must be positive, got {self.size_kib}")
 
 
-def generate_classes(count: int, total_kib: float, seed: int = 7) -> List[SyntheticClass]:
+@functools.lru_cache(maxsize=128)
+def generate_classes(count: int, total_kib: float,
+                     seed: int = 7) -> Tuple[SyntheticClass, ...]:
     """Generate ``count`` classes whose sizes sum to ``total_kib``.
 
     Sizes follow a log-normal draw re-normalized to the exact total, so
     the set is heterogeneous (as the paper describes) yet deterministic
     for a given seed and always sums to ``total_kib`` to within float
     rounding.
+
+    Memoized: the table is an immutable tuple of frozen classes, so
+    every app instance of a function (and every restored replica)
+    shares one table instead of regenerating it per cold start.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
@@ -43,12 +50,12 @@ def generate_classes(count: int, total_kib: float, seed: int = 7) -> List[Synthe
     rng = random.Random(seed)
     raw = [rng.lognormvariate(0.0, 0.6) for _ in range(count)]
     scale = total_kib / sum(raw)
-    return [
+    return tuple(
         SyntheticClass(name=f"com.synthetic.Class{i:05d}", size_kib=w * scale)
         for i, w in enumerate(raw)
-    ]
+    )
 
 
-def total_size_kib(classes: List[SyntheticClass]) -> float:
+def total_size_kib(classes: Sequence[SyntheticClass]) -> float:
     """Sum of classfile sizes for a generated set."""
     return sum(c.size_kib for c in classes)

@@ -1,7 +1,11 @@
 """Tests for the checkpoint image format."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import make_world
+from repro.core.bake import Prebaker
 from repro.criu.images import (
     CheckpointImage,
     FdDescriptor,
@@ -9,6 +13,8 @@ from repro.criu.images import (
     VMADescriptor,
     build_image_files,
 )
+from repro.criu.restore import RestoreEngine
+from repro.functions import make_app
 from repro.osproc.memory import PAGE_SIZE
 
 
@@ -114,6 +120,53 @@ class TestImageValidation:
         del image.files["pages-1.img"]
         with pytest.raises(ValueError, match="missing pages-1.img"):
             image.validate()
+
+
+def _resealed_noop(edit_vma):
+    """A baked noop image whose first paged VMA went through ``edit_vma``."""
+    world = make_world(seed=9)
+    image = Prebaker(world.kernel).bake(make_app("noop")).image
+    index = next(i for i, v in enumerate(image.vmas) if v.resident_indices)
+    vma = image.vmas[index]
+    indices, tags = edit_vma(vma)
+    image.vmas[index] = replace(vma, resident_indices=indices, content_tags=tags)
+    build_image_files(image)
+    image.seal()
+    return world.kernel, image
+
+
+class TestResidentIndexValidation:
+    """Descriptor page lists must be strictly increasing and in range."""
+
+    def test_duplicate_index_rejected_before_restore(self):
+        kernel, image = _resealed_noop(lambda v: (
+            v.resident_indices + v.resident_indices[:1],
+            v.content_tags + v.content_tags[:1]))
+        engine = RestoreEngine(kernel)
+        clock, procs = kernel.clock.now, len(kernel.processes)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            engine.restore(image)
+        assert kernel.clock.now == clock
+        assert len(kernel.processes) == procs
+
+    def test_out_of_range_index_rejected_before_restore(self):
+        kernel, image = _resealed_noop(lambda v: (
+            v.resident_indices[:-1] + (v.length // PAGE_SIZE,),
+            v.content_tags))
+        clock = kernel.clock.now
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RestoreEngine(kernel).restore(image)
+        assert kernel.clock.now == clock
+
+    @pytest.mark.parametrize("indices", [(2, 1), (-1, 0), (0, 8), (3, 3)])
+    def test_bad_orders_and_ranges_rejected(self, indices):
+        bad = replace(make_vma(resident=2), resident_indices=indices)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make_image(vmas=[bad]).validate()
+
+    def test_sparse_increasing_indices_pass(self):
+        good = replace(make_vma(resident=3), resident_indices=(0, 5, 7))
+        make_image(vmas=[good]).validate()
 
 
 class TestDescriptors:

@@ -13,12 +13,19 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import make_world
+from repro.core.bake import Prebaker
+from repro.core.policy import AfterWarmup
+from repro.criu.restore import RestoreEngine
+from repro.functions import make_app
 from repro.osproc.memory import (
     PAGE_SIZE,
+    TAGS,
     SlowVMA,
     VMA,
     VMAKind,
@@ -99,6 +106,13 @@ class TestBackendEquivalence:
         fast.populate_pages(indices, tags, dirty=dirty)
         slow.populate_pages(indices, tags, dirty=dirty)
         assert _observe(fast) == _observe(slow)
+        # The restore path hands over interned tag ids, not strings.
+        for backend in (VMA, SlowVMA):
+            by_ids = backend(start=0, length=PAGES * PAGE_SIZE,
+                             kind=VMAKind.ANON)
+            by_ids.populate_pages(np.asarray(indices, dtype=np.int64),
+                                  TAGS.intern_many(tags), dirty=dirty)
+            assert _observe(by_ids) == _observe(fast)
 
     def test_iter_pages_orders_by_index(self):
         for backend in (VMA, SlowVMA):
@@ -107,6 +121,34 @@ class TestBackendEquivalence:
             for index in (9, 3, 41, 0):
                 vma.touch(index, content_tag=f"p{index}")
             assert [p.index for p in vma.iter_pages()] == [0, 3, 9, 41]
+
+
+class TestRestoreUnderBothBackends:
+    @pytest.mark.parametrize("name", ["noop", "image-resizer",
+                                      "synthetic-small"])
+    def test_restored_pages_identical(self, name):
+        world = make_world(seed=4)
+        image = Prebaker(world.kernel).bake(
+            make_app(name), policy=AfterWarmup(1)).image
+        engine = RestoreEngine(world.kernel)
+        entry = slow_pagemap_enabled()
+        dumps = {}
+        try:
+            for slow in (False, True):
+                set_slow_pagemap(slow)
+                vmas = engine.restore(image).address_space.vmas
+                assert all(type(v) is (SlowVMA if slow else VMA) for v in vmas)
+                dumps[slow] = [(v.start, v.dump_pages()) for v in vmas]
+        finally:
+            set_slow_pagemap(entry)
+        assert dumps[False] == dumps[True]
+        # Plain ints, as a later dump of the restored process serializes.
+        assert all(type(i) is int
+                   for dump in dumps.values()
+                   for _, (indices, _) in dump for i in indices)
+        assert dumps[False] == sorted(
+            (d.start, (d.resident_indices, d.content_tags))
+            for d in image.vmas)
 
 
 class TestBackendSwitch:
