@@ -40,6 +40,7 @@ import numpy as np
 from repro import make_world
 from repro.bench.report import format_table
 from repro.bench.traces import synthesize_fleet_workload
+from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.criu.shardstore import HashRing
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
@@ -83,7 +84,6 @@ class FleetStudyConfig:
     node_cache_mib: int = 256
     keepalive_ms: float = 60_000.0
     max_replicas: int = 8
-    pipeline_workers: int = 1
     window_ms: float = 60_000.0
     flight_capacity: int = 2048
     # Deterministic storage outage: one store is down for the middle
@@ -157,7 +157,6 @@ class FleetStudyResult:
                 "storage_nodes": self.config.storage_nodes,
                 "replication_factor": self.config.replication_factor,
                 "node_cache_mib": self.config.node_cache_mib,
-                "pipeline_workers": self.config.pipeline_workers,
             },
             "reps": [
                 {
@@ -257,6 +256,26 @@ def _trace_exemplar(seed: int) -> List[Dict[str, object]]:
 # ---------------------------------------------------------------------------
 
 
+class _NodeCache(HotChunkCache):
+    """One compute node's LRU chunk cache, kept in step with coverage.
+
+    ``coverage`` is the node's row of ``_Fleet.coverage`` (bytes of each
+    function's image resident here). An eviction takes the victim's
+    bytes off every function sharing it; the caller adds a fetched
+    chunk's bytes on a miss, which LRU always admits.
+    """
+
+    def __init__(self, capacity_bytes: int, coverage: np.ndarray,
+                 chunk_funcs: List[np.ndarray]) -> None:
+        super().__init__(capacity_bytes, policy=LRU)
+        self.coverage = coverage
+        self.chunk_funcs = chunk_funcs
+
+    def _evict(self, chunk_id) -> None:
+        self.coverage[self.chunk_funcs[chunk_id]] -= self._resident[chunk_id]
+        super()._evict(chunk_id)
+
+
 class _Fleet:
     """One repetition's fleet state: placement, caches, pools, plane."""
 
@@ -312,12 +331,12 @@ class _Fleet:
                 self.chunk_homes[cid, slot] = store_index[name]
 
         # -- per-node state -----------------------------------------------
-        self.cache_capacity = c.node_cache_mib * MIB
-        self.caches: List[Dict[int, None]] = [
-            {} for _ in range(c.compute_nodes)]
-        self.cache_bytes = [0] * c.compute_nodes
         # coverage[node, fid]: bytes of fid's image in node's cache.
         self.coverage = np.zeros((c.compute_nodes, c.functions))
+        self.node_caches = [
+            _NodeCache(c.node_cache_mib * MIB, self.coverage[node],
+                       self.chunk_funcs)
+            for node in range(c.compute_nodes)]
         # Warm pools: per function, [node, busy_until, last_used].
         self.pools: List[List[List[float]]] = [
             [] for _ in range(c.functions)]
@@ -367,18 +386,7 @@ class _Fleet:
         self.cross_node_bytes = 0
         self.degraded_cold_starts = 0
 
-    # -- cache mechanics -----------------------------------------------------
-
-    def _admit(self, node: int, cid: int) -> None:
-        cache = self.caches[node]
-        cache[cid] = None
-        self.cache_bytes[node] += CHUNK_BYTES
-        self.coverage[node, self.chunk_funcs[cid]] += CHUNK_BYTES
-        while self.cache_bytes[node] > self.cache_capacity:
-            victim = next(iter(cache))
-            del cache[victim]
-            self.cache_bytes[node] -= CHUNK_BYTES
-            self.coverage[node, self.chunk_funcs[victim]] -= CHUNK_BYTES
+    # -- storage outage ------------------------------------------------------
 
     def _storage_down(self, store: int, t: float) -> bool:
         lo, hi = self.outage_window
@@ -411,29 +419,28 @@ class _Fleet:
         local_bytes = 0
         remote_bytes = 0
         hops = 0
-        cache = self.caches[node]
+        lookup = self.node_caches[node].lookup
+        coverage = self.coverage[node]
         for cid in self.func_chunks[fid].tolist():
-            if cid in cache:
-                # dict move-to-end LRU bump
-                del cache[cid]
-                cache[cid] = None
+            if lookup(cid, CHUNK_BYTES):
                 local_bytes += CHUNK_BYTES
                 continue
+            # LRU admits every miss: the chunk is resident on this node now.
+            coverage[self.chunk_funcs[cid]] += CHUNK_BYTES
             homes = self.chunk_homes[cid]
             serving = int(homes[0])
             if self._storage_down(serving, t):
+                # Each retry hop is charged to the down store it skipped.
                 hops += 1
+                self.h_hops[serving].inc()
                 if len(homes) > 1:
                     serving = int(homes[1])
                     if self._storage_down(serving, t):
                         hops += 1
+                        self.h_hops[serving].inc()
             remote_bytes += CHUNK_BYTES
             self.h_served[serving].inc(float(CHUNK_BYTES))
             self.hot_chunks.offer(f"chunk-{cid:08d}", float(CHUNK_BYTES))
-            self._admit(node, cid)
-        if hops:
-            self.h_hops[int(self.chunk_homes
-                            [self.func_chunks[fid][0]][0])].inc(float(hops))
         self.cross_node_bytes += remote_bytes
         self.h_hit_bytes[node].inc(float(local_bytes))
         self.h_miss_bytes[node].inc(float(remote_bytes))
@@ -441,13 +448,12 @@ class _Fleet:
         # -- latency decomposition (calibrated CostModel constants) ------
         costs = self.costs
         cf = local_bytes / total_bytes if total_bytes else 0.0
-        pages_ms = costs.restore_per_mib_ms * (total_bytes / MIB)
-        fetch_ms = pages_ms * costs.restore_fetch_fraction * (
-            (1.0 - cf) + cf * costs.restore_cache_hit_factor)
-        map_ms = pages_ms * (1.0 - costs.restore_fetch_fraction)
-        shard_ms = costs.shard_fetch_overhead_ms(
-            hops, workers=c.pipeline_workers)
-        restore_ms = costs.restore_base_ms + fetch_ms + map_ms + shard_ms
+        restore_ms = (
+            costs.restore_base_ms
+            + costs.plan_restore_pipeline(
+                costs.restore_per_mib_ms * (total_bytes / MIB),
+                cached_fraction=cf).total_ms
+            + costs.shard_fetch_overhead_ms(hops))
         # One multiplicative log-normal jitter per cold start, applied
         # to every phase, so the phase sums reproduce the total exactly.
         factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
@@ -597,13 +603,12 @@ def fleet_study(repetitions: int = 1, seed: int = 42,
                 requests: int = 1_000_000, functions: int = 200,
                 compute_nodes: int = 8, storage_nodes: int = 6,
                 replication_factor: int = 2,
-                workers: int = 1,
                 duration_ms: float = 7_200_000.0) -> FleetStudyResult:
     """Run X12: ``repetitions`` independent fleet passes + the exemplar."""
     config = FleetStudyConfig(
         functions=functions, requests=requests, duration_ms=duration_ms,
         compute_nodes=compute_nodes, storage_nodes=storage_nodes,
-        replication_factor=replication_factor, pipeline_workers=workers)
+        replication_factor=replication_factor)
     result = FleetStudyResult(config=config, seed=seed)
     for rep in range(repetitions):
         result.reps.append(_run_repetition(config, seed, rep))

@@ -32,10 +32,11 @@ Timer functions deliberately carry the largest images, so covering
 them moves the cold-start *tail*, not just the rate.
 
 Cold-start latency uses the calibrated CostModel decomposition (the
-same clone/spawn/restore prices as X12) against a node-local image
-cache that predictive policies *prefetch* into — the chunk-prefetch
-half of the tentpole, so a predicted-then-realized cold start fetches
-from local cache instead of the registry.
+same clone/spawn/restore prices as X12, the restore priced by
+``plan_restore_pipeline``) against a node-local LRU
+:class:`~repro.criu.chunkcache.HotChunkCache` holding whole images,
+which predictive policies *prefetch* into, so a predicted-then-realized
+cold start fetches from local cache instead of the registry.
 
 One *real* platform episode (FaaSPlatform with ``PrewarmConfig``
 installed) rides along as the exemplar: its controller stats prove
@@ -54,6 +55,7 @@ import numpy as np
 from repro import make_world
 from repro.bench.report import format_table
 from repro.bench.traces import synthesize_fleet_workload
+from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.functions.base import make_app
 from repro.predict.policy import (
@@ -285,31 +287,6 @@ def _image_sizes(config: PrewarmStudyConfig, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ImageLRU:
-    """Whole-image LRU cache standing in for a node's HotChunkCache."""
-
-    def __init__(self, capacity_mib: float) -> None:
-        self.capacity_mib = float(capacity_mib)
-        self._resident: Dict[int, float] = {}   # fid -> MiB, LRU-ordered
-        self._used_mib = 0.0
-
-    def admit(self, fid: int, mib: float) -> bool:
-        """Touch ``fid``; returns True when it was already resident."""
-        present = fid in self._resident
-        if present:
-            del self._resident[fid]            # move-to-end bump
-        else:
-            self._used_mib += mib
-        self._resident[fid] = mib
-        while self._used_mib > self.capacity_mib and len(self._resident) > 1:
-            victim, size = next(iter(self._resident.items()))
-            if victim == fid:
-                break
-            del self._resident[victim]
-            self._used_mib -= size
-        return present
-
-
 class _PolicySim:
     """One chronological sweep of the trace under one prewarm policy.
 
@@ -325,7 +302,8 @@ class _PolicySim:
         self.c = config
         self.policy = policy
         self.costs = costs
-        self.image_mib = image_mib
+        self.image_mib: List[float] = image_mib.tolist()
+        self.image_bytes = [int(mib) * MIB for mib in self.image_mib]
         self.rng = np.random.Generator(np.random.PCG64(seed))
         n = config.total_functions
         self.pools: List[List[List[float]]] = [[] for _ in range(n)]
@@ -334,7 +312,17 @@ class _PolicySim:
         self.sched_mark: List[float] = [-1.0] * n
         self.wasted_ms = np.zeros(n, dtype=np.float64)
         self.cold_by_fid = np.zeros(n, dtype=np.int64)
-        self.cache = _ImageLRU(config.node_cache_mib)
+        self.cache = HotChunkCache(config.node_cache_mib * MIB, policy=LRU)
+
+        def provision_ms(mib: float, cached_fraction: float) -> float:
+            restore_ms = costs.restore_base_ms + costs.plan_restore_pipeline(
+                costs.restore_per_mib_ms * mib,
+                cached_fraction=cached_fraction).total_ms
+            return costs.clone_ms + costs.criu_spawn_ms + restore_ms
+
+        # Un-jittered provision latency per function: (image miss, hit).
+        self.cold_ms = [(provision_ms(mib, 0.0), provision_ms(mib, 1.0))
+                        for mib in self.image_mib]
         self.cold_lats: List[float] = []
         self.outcome = PolicyOutcome(policy=policy.name)
 
@@ -357,21 +345,14 @@ class _PolicySim:
                 keep.append(r)
         pool[:] = keep
 
-    def _cold_latency(self, fid: int, prefetch: bool = False) -> float:
+    def _cold_latency(self, fid: int,
+                      prefetch: bool = False) -> Tuple[float, bool]:
         """Calibrated provision latency against the node image cache."""
-        costs = self.costs
-        mib = float(self.image_mib[fid])
-        hit = self.cache.admit(fid, mib)
+        hit = self.cache.lookup(fid, self.image_bytes[fid])
         if prefetch and not hit:
-            self.outcome.prefetch_mib += mib
-        cf = 1.0 if hit else 0.0
-        pages_ms = costs.restore_per_mib_ms * mib
-        fetch_ms = pages_ms * costs.restore_fetch_fraction * (
-            (1.0 - cf) + cf * costs.restore_cache_hit_factor)
-        map_ms = pages_ms * (1.0 - costs.restore_fetch_fraction)
-        restore_ms = costs.restore_base_ms + fetch_ms + map_ms
-        factor = math.exp(costs.noise_sigma * self.rng.standard_normal())
-        return (costs.clone_ms + costs.criu_spawn_ms + restore_ms) * factor, hit
+            self.outcome.prefetch_mib += self.image_mib[fid]
+        factor = math.exp(self.costs.noise_sigma * self.rng.standard_normal())
+        return self.cold_ms[fid][hit] * factor, hit
 
     def _place(self, fid: int, t: float, expire_override: float) -> None:
         """Pre-provision one replica (prefetching its image first)."""
@@ -427,7 +408,7 @@ class _PolicySim:
             elif target > 0:
                 # Target already met: refresh the image cache so a
                 # predicted-then-realized cold start fetches locally.
-                self.cache.admit(fid, float(self.image_mib[fid]))
+                self.cache.lookup(fid, self.image_bytes[fid])
             if (not pool and placed < budget
                     and self.last_arrival[fid] >= 0.0
                     and self.sched_mark[fid] != self.last_arrival[fid]):

@@ -16,15 +16,16 @@ Two policies:
   cold snapshot evicting many small hot chunks.
 * ``lru`` — classic recency eviction, always admits.
 
-The cache is deliberately deterministic (no RNG, no wall clock): the
-recency stamp is a monotonic lookup counter, so identically seeded
-experiments produce identical hit sequences.
+The cache is deliberately deterministic (no RNG, no wall clock):
+resident entries are kept in recency order (every access moves the
+entry to the end of the dict), so identically seeded experiments
+produce identical hit sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 FREQ_OVER_SIZE = "freq-over-size"
 LRU = "lru"
@@ -78,10 +79,10 @@ class HotChunkCache:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.stats = CacheStats()
-        self._resident: Dict[str, Tuple[int, int]] = {}  # cid -> (size, stamp)
+        # cid -> size, least recently used first.
+        self._resident: Dict[str, int] = {}
         self._freq: Dict[str, int] = {}                  # ghost history too
         self._used_bytes = 0
-        self._tick = 0
 
     # -- inspection ----------------------------------------------------------
 
@@ -105,20 +106,21 @@ class HotChunkCache:
         node-local speed). On a miss the chunk has just been fetched
         from the registry, so the policy decides whether to keep it.
         """
-        self._tick += 1
-        self.stats.lookups += 1
-        freq = self._freq.get(chunk_id, 0) + 1
-        self._freq[chunk_id] = freq
-        if len(self._freq) > _MAX_GHOST_ENTRIES:
+        stats = self.stats
+        stats.lookups += 1
+        freq = self._freq
+        freq[chunk_id] = freq.get(chunk_id, 0) + 1
+        if len(freq) > _MAX_GHOST_ENTRIES:
             self._trim_ghosts()
-        if chunk_id in self._resident:
-            self.stats.hits += 1
-            self.stats.hit_bytes += size_bytes
-            self._resident[chunk_id] = (size_bytes, self._tick)
+        resident = self._resident
+        if chunk_id in resident:
+            stats.hits += 1
+            stats.hit_bytes += size_bytes
+            resident[chunk_id] = resident.pop(chunk_id)
             return True
-        self.stats.misses += 1
-        self.stats.miss_bytes += size_bytes
-        self._admit(chunk_id, size_bytes, freq)
+        stats.misses += 1
+        stats.miss_bytes += size_bytes
+        self._admit(chunk_id, size_bytes)
         return False
 
     def prefetch(self, chunk_id: str, size_bytes: int) -> bool:
@@ -131,15 +133,13 @@ class HotChunkCache:
         normal admission policy applies. Returns True when the chunk
         is resident afterwards (already present counts as success).
         """
-        self._tick += 1
-        freq = self._freq.get(chunk_id, 0) + 1
-        self._freq[chunk_id] = freq
+        self._freq[chunk_id] = self._freq.get(chunk_id, 0) + 1
         if len(self._freq) > _MAX_GHOST_ENTRIES:
             self._trim_ghosts()
         if chunk_id in self._resident:
-            self._resident[chunk_id] = (size_bytes, self._tick)
+            self._resident[chunk_id] = self._resident.pop(chunk_id)
             return True
-        self._admit(chunk_id, size_bytes, freq)
+        self._admit(chunk_id, size_bytes)
         admitted = chunk_id in self._resident
         if admitted:
             self.stats.prefetches += 1
@@ -152,41 +152,35 @@ class HotChunkCache:
         """Frequency-over-size: hot small chunks are worth the most."""
         return self._freq.get(chunk_id, 0) / max(1, size_bytes)
 
-    def _admit(self, chunk_id: str, size_bytes: int, freq: int) -> None:
+    def _admit(self, chunk_id: str, size_bytes: int) -> None:
+        # used_bytes always equals the resident sizes, so a chunk that
+        # fits the capacity always finds a victim while it does not fit.
         if size_bytes > self.capacity_bytes:
             self.stats.admission_rejects += 1
             return
+        resident = self._resident
         while self._used_bytes + size_bytes > self.capacity_bytes:
-            victim = self._pick_victim()
-            if victim is None:
-                self.stats.admission_rejects += 1
-                return
-            if (self.policy == FREQ_OVER_SIZE
-                    and self._score(chunk_id, size_bytes)
-                    < self._score(victim, self._resident[victim][0])):
-                # The incoming chunk is colder than the coldest resident
-                # one: keep the cache as is (TinyLFU-style admission).
-                self.stats.admission_rejects += 1
-                return
+            if self.policy == LRU:
+                victim = next(iter(resident))
+            else:
+                # freq-over-size; among equal scores ``min`` keeps the
+                # first, i.e. least recent, entry, so ties age out in
+                # access order.
+                victim = min(resident,
+                             key=lambda cid: self._score(cid, resident[cid]))
+                if (self._score(chunk_id, size_bytes)
+                        < self._score(victim, resident[victim])):
+                    # The incoming chunk is colder than the coldest
+                    # resident one: keep the cache as is (TinyLFU-style
+                    # admission).
+                    self.stats.admission_rejects += 1
+                    return
             self._evict(victim)
-        self._resident[chunk_id] = (size_bytes, self._tick)
+        resident[chunk_id] = size_bytes
         self._used_bytes += size_bytes
 
-    def _pick_victim(self) -> Optional[str]:
-        if not self._resident:
-            return None
-        if self.policy == LRU:
-            return min(self._resident, key=lambda cid: self._resident[cid][1])
-        # freq-over-size, LRU as the tie-break so equal-score chunks
-        # age out in access order.
-        return min(
-            self._resident,
-            key=lambda cid: (self._score(cid, self._resident[cid][0]),
-                             self._resident[cid][1]),
-        )
-
     def _evict(self, chunk_id: str) -> None:
-        size, _ = self._resident.pop(chunk_id)
+        size = self._resident.pop(chunk_id)
         self._used_bytes -= size
         self.stats.evictions += 1
 

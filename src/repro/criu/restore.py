@@ -322,7 +322,6 @@ class RestoreEngine:
         cache = self.chunk_cache
         if cache is None:
             return 0.0
-        kernel = self.kernel
         hits = hit_bytes = total_bytes = 0
         index = image_chunk_index(image)
         for _vma_index, _window_start, cid, size_bytes in index:
@@ -330,17 +329,28 @@ class RestoreEngine:
             if cache.lookup(cid, size_bytes):
                 hits += 1
                 hit_bytes += size_bytes
+        cached_fraction = hit_bytes / total_bytes if total_bytes else 0.0
+        self._record_cache_pass(image, len(index), hits, cached_fraction)
+        return cached_fraction
+
+    def _record_cache_pass(self, image: CheckpointImage, lookups: int,
+                           hits: int, cached_fraction: float) -> None:
+        """Cache-effectiveness event and series for one restore pass.
+
+        Shared by the unsharded and sharded passes, so SLOs and
+        anomaly watches read identically either way.
+        """
+        kernel = self.kernel
+        cache = self.chunk_cache
         obs.record(kernel, obs.flight.CACHE_LOOKUP, image=image.image_id,
-                   lookups=len(index), hits=hits,
-                   hit_fraction=round(hit_bytes / total_bytes, 4)
-                   if total_bytes else 0.0)
-        obs.count(kernel, "chunk_cache_lookups_total", value=float(len(index)))
+                   lookups=lookups, hits=hits,
+                   hit_fraction=round(cached_fraction, 4))
+        obs.count(kernel, "chunk_cache_lookups_total", value=float(lookups))
         obs.count(kernel, "chunk_cache_hits_total", value=float(hits))
         obs.count(kernel, "chunk_cache_misses_total",
-                  value=float(len(index) - hits))
+                  value=float(lookups - hits))
         obs.gauge(kernel, "chunk_cache_hit_ratio", cache.stats.hit_ratio)
         obs.gauge(kernel, "chunk_cache_used_bytes", float(cache.used_bytes))
-        return hit_bytes / total_bytes if total_bytes else 0.0
 
     def _shard_fetch_pass(self, image: CheckpointImage):
         """Fetch every window through the sharded store, cache-first.
@@ -349,9 +359,8 @@ class RestoreEngine:
         quorum fetch over surviving replicas → :class:`RestoreFailed`
         (kind ``shard``) when a window is unobtainable, which hands
         recovery to the starter's retry → vanilla ladder. Returns
-        ``(cached byte fraction, DegradedRestoreReport)``; emits the
-        same cache-effectiveness counters as the unsharded pass so
-        SLOs and anomaly watches read identically either way.
+        ``(cached byte fraction, DegradedRestoreReport)``; cache
+        accounting goes through :meth:`_record_cache_pass`.
         """
         kernel = self.kernel
         cache = self.chunk_cache
@@ -360,18 +369,8 @@ class RestoreEngine:
         cached_fraction = (report.cached_bytes / report.total_bytes
                            if report.total_bytes else 0.0)
         if cache is not None:
-            obs.record(kernel, obs.flight.CACHE_LOOKUP, image=image.image_id,
-                       lookups=report.chunks, hits=report.cached_chunks,
-                       hit_fraction=round(cached_fraction, 4))
-            obs.count(kernel, "chunk_cache_lookups_total",
-                      value=float(report.chunks))
-            obs.count(kernel, "chunk_cache_hits_total",
-                      value=float(report.cached_chunks))
-            obs.count(kernel, "chunk_cache_misses_total",
-                      value=float(report.chunks - report.cached_chunks))
-            obs.gauge(kernel, "chunk_cache_hit_ratio", cache.stats.hit_ratio)
-            obs.gauge(kernel, "chunk_cache_used_bytes",
-                      float(cache.used_bytes))
+            self._record_cache_pass(image, report.chunks,
+                                    report.cached_chunks, cached_fraction)
         if report.failed_chunks:
             obs.record(kernel, obs.flight.RESTORE_FAILED,
                        image=image.image_id, reason="shard",

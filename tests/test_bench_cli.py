@@ -57,6 +57,16 @@ class TestMain:
         assert "predictive beats fixed keep-alive:" in out
         assert "oracle bounds the gap:" in out
 
+    def test_fleet_study_report_ignores_the_worker_count(self, capsys):
+        # --workers fans fig3 repetitions out; it must not reach the
+        # fleet model (it once divided the shard retry-hop charge).
+        reports = []
+        for workers in ("1", "2"):
+            assert main(["fleet-study", "-r", "1", "-s", "42",
+                         "--requests", "20000", "-w", workers]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_all_known_experiments_have_runners(self):
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name

@@ -6,15 +6,30 @@ import numpy as np
 import pytest
 
 from repro.bench.fleet_study import (
+    CHUNK_BYTES,
     FleetStudyConfig,
+    _Fleet,
     _run_repetition,
     fleet_study,
     render_fleet_report,
 )
 from repro.bench.traces import TraceFormatError, synthesize_fleet_workload
+from repro.obs.flight import RESTORE_DEGRADED
+from repro.sim.costmodel import DEFAULT_COST_MODEL
 
 SMALL = dict(requests=5_000, functions=20, compute_nodes=4,
              storage_nodes=4, replication_factor=2)
+
+
+def run_fleet(config, seed=7, outage_node=0):
+    """One reduced fleet sweep; returns the simulator for inspection."""
+    fleet = _Fleet(config, seed, DEFAULT_COST_MODEL)
+    fleet.outage_node = outage_node
+    times, fids = synthesize_fleet_workload(
+        function_count=config.functions, duration_ms=config.duration_ms,
+        requests=config.requests, seed=seed)
+    fleet.run(times, fids)
+    return fleet
 
 
 def small_study(seed=7, **overrides):
@@ -153,3 +168,31 @@ class TestFleetStudy:
         artifact = small_study().as_dict()
         clone = json.loads(json.dumps(artifact, sort_keys=True))
         assert render_fleet_report(clone) == render_fleet_report(artifact)
+
+
+class TestFleetNodeCaches:
+    def test_coverage_matches_the_resident_chunks(self):
+        # A small cache forces steady eviction, so coverage has been
+        # both added to and taken off many times.
+        config = FleetStudyConfig(node_cache_mib=8, **SMALL)
+        fleet = run_fleet(config)
+        assert sum(c.stats.evictions for c in fleet.node_caches) > 0
+        for node, cache in enumerate(fleet.node_caches):
+            assert cache.used_bytes <= cache.capacity_bytes
+            for fid, chunks in enumerate(fleet.func_chunks):
+                resident = sum(1 for cid in chunks.tolist()
+                               if cache.contains(cid))
+                assert fleet.coverage[node, fid] == CHUNK_BYTES * resident
+
+    def test_retry_hops_are_charged_to_the_down_store(self):
+        config = FleetStudyConfig(node_cache_mib=8, flight_capacity=1 << 20,
+                                  **SMALL)
+        fleet = run_fleet(config, outage_node=0)
+        hops = [reg.value("shard_retry_hops_total")
+                for reg in fleet.store_regs]
+        total = sum(int(e.attrs["retry_hops"])
+                    for e in fleet.flight.events(RESTORE_DEGRADED))
+        assert fleet.flight.dropped == 0
+        assert total > 0
+        assert sum(hops) == total
+        assert hops[0] == total           # every hop skipped store-0

@@ -9,12 +9,13 @@ export, ghost-history promotion, ``FaultPlan.of`` typo rejection).
 
 import pytest
 
-from repro import make_world
+from repro import make_world, obs
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady
 from repro.core.starters import PrebakeStarter
 from repro.core.store import SnapshotStore
-from repro.criu.chunkcache import LRU, HotChunkCache
+from repro.criu.chunkcache import FREQ_OVER_SIZE, LRU, HotChunkCache
+from repro.criu.restore import RestoreEngine
 from repro.criu.shardstore import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -329,6 +330,45 @@ class TestDegradedRestores:
                 for _ in range(5)
             ])
         assert sequences[0] == sequences[1]
+
+
+    def test_rf1_single_node_store_emits_the_unsharded_cache_accounting(
+            self):
+        """Both restore passes report cache effectiveness through one
+        helper: same counters, gauges and flight-event attributes."""
+        series = ("chunk_cache_lookups_total", "chunk_cache_hits_total",
+                  "chunk_cache_misses_total", "chunk_cache_hit_ratio",
+                  "chunk_cache_used_bytes")
+        outcomes = []
+        for sharded in (False, True):
+            world = make_world(seed=42, observe=True)
+            kernel = world.kernel
+            flight = obs.install_flight(kernel)
+            store = SnapshotStore()
+            report = Prebaker(kernel, store).bake(make_app("markdown"),
+                                                  policy=AfterReady())
+            image = store.get(report.key)
+            shard_store = None
+            if sharded:
+                shard_store = ShardedSnapshotStore(kernel, node_count=1,
+                                                   replication_factor=1)
+                shard_store.register_image(store.layered(report.key),
+                                           merkle=store.merkle(report.key))
+            engine = RestoreEngine(kernel, cache_policy=FREQ_OVER_SIZE,
+                                   shard_store=shard_store)
+            for _ in range(2):                 # cold, then fully cached
+                engine.restore(image)
+            events = flight.events(obs.flight.CACHE_LOOKUP)
+            assert [e.attrs["image"] for e in events] == [image.image_id] * 2
+            outcomes.append((
+                {name: kernel.obs.metrics.value(name) for name in series},
+                [{k: v for k, v in e.attrs.items() if k != "image"}
+                 for e in events]))
+        assert outcomes[0] == outcomes[1]
+        counters, attrs = outcomes[0]
+        assert counters["chunk_cache_hits_total"] > 0
+        assert counters["chunk_cache_misses_total"] > 0
+        assert attrs[0]["hit_fraction"] < 1.0 == attrs[1]["hit_fraction"]
 
 
 # ---------------------------------------------------------------------------
