@@ -9,11 +9,13 @@ millions of requests?
 
 The study is a discrete-event pass over a synthesized fleet trace
 (:func:`repro.bench.traces.synthesize_fleet_workload`): one
-chronological sweep across C compute nodes and S storage nodes whose
-chunk placement comes from the real :class:`~repro.criu.shardstore`
-consistent-hash ring and whose latency decomposition comes from the
-calibrated :class:`~repro.sim.costmodel.CostModel` constants — the
-same clone/spawn/restore/fetch/hop prices the request-level simulator
+:class:`~repro.faas.replay.TraceReplay` sweep under a fixed keep-alive
+across C compute nodes and S storage nodes. This module is its cold
+start provisioner: chunk placement comes from the real
+:class:`~repro.criu.shardstore` consistent-hash ring and the latency
+decomposition from the calibrated
+:class:`~repro.sim.costmodel.CostModel` constants — the same
+clone/spawn/restore/fetch/hop prices the request-level simulator
 charges. Every aggregate flows through :mod:`repro.obs.fleet`:
 per-node registries federated under ``node=`` labels, merged
 histograms for the fleet quantiles, Space-Saving sketches for hot
@@ -43,6 +45,7 @@ from repro.bench.traces import synthesize_fleet_workload
 from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.criu.shardstore import HashRing
 from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.faas.replay import TraceReplay
 from repro.functions.base import make_app
 from repro.obs.flight import REPLICA_PROVISIONED, RESTORE_DEGRADED, FlightRecorder
 from repro.obs.fleet import (
@@ -54,6 +57,7 @@ from repro.obs.fleet import (
     FleetWindowSeries,
     SpaceSavingSketch,
 )
+from repro.predict.policy import FixedKeepAlivePolicy
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.rng import _derive_seed
 
@@ -277,7 +281,12 @@ class _NodeCache(HotChunkCache):
 
 
 class _Fleet:
-    """One repetition's fleet state: placement, caches, pools, plane."""
+    """One repetition's fleet: the replay's provisioner and its plane.
+
+    ``cold_start`` places a replica (chunk locality against load on
+    ``replay.live``), fetches its missing chunks and records the cold
+    start into the observability plane.
+    """
 
     def __init__(self, config: FleetStudyConfig, seed: int,
                  costs: CostModel) -> None:
@@ -337,11 +346,13 @@ class _Fleet:
             _NodeCache(c.node_cache_mib * MIB, self.coverage[node],
                        self.chunk_funcs)
             for node in range(c.compute_nodes)]
-        # Warm pools: per function, [node, busy_until, last_used].
-        self.pools: List[List[List[float]]] = [
-            [] for _ in range(c.functions)]
-        # Live replicas per compute node — the load term of placement.
-        self.node_load = np.zeros(c.compute_nodes)
+        # Warm pools: keep-alive replicas under the fixed timeout, served
+        # most-recently-idle first; this fleet provisions their cold
+        # starts. ``replay.live`` is each node's live replica count.
+        self.replay = TraceReplay(
+            FixedKeepAlivePolicy(c.keepalive_ms), self,
+            functions=c.functions, service_ms=costs.exec_ms,
+            max_replicas=c.max_replicas, nodes=c.compute_nodes)
 
         # -- observability plane ------------------------------------------
         self.fleet = FleetRegistry()
@@ -397,6 +408,7 @@ class _Fleet:
     def cold_start(self, t: float, fid: int) -> Tuple[int, float]:
         """Provision one replica; returns (node, ready latency ms)."""
         c = self.config
+        self.clock.now = t
         # Locality-aware, load-balanced placement: score each node by
         # the fraction of this image its chunk cache already covers,
         # minus a penalty for its share of live replicas (0.5 at a
@@ -404,14 +416,13 @@ class _Fleet:
         # node unless the covering node already runs well over its fair
         # share; deterministic argmax, first max wins.
         total_bytes = self.image_bytes[fid]
-        load_total = self.node_load.sum()
+        live = np.asarray(self.replay.live, dtype=np.float64)
+        load_total = live.sum()
         score = self.coverage[:, fid] / total_bytes
         if load_total > 0.0:
-            score = score - (0.5 * c.compute_nodes / load_total) \
-                * self.node_load
+            score = score - (0.5 * c.compute_nodes / load_total) * live
         node = int(np.argmax(score))
         covered = self.coverage[node, fid]
-        self.node_load[node] += 1.0
         self.h_placement[node].inc()
         if covered * 2 < total_bytes:
             self.h_loc_miss[node].inc()
@@ -486,52 +497,6 @@ class _Fleet:
                                node=node_name, retry_hops=hops)
         return node, total_ms
 
-    # -- the request loop ----------------------------------------------------
-
-    def run(self, times: np.ndarray, fids: np.ndarray) -> None:
-        c = self.config
-        costs = self.costs
-        keepalive = c.keepalive_ms
-        service_ms = costs.exec_ms
-        pools = self.pools
-        clock = self.clock
-        for t, fid in zip(times.tolist(), fids.tolist()):
-            clock.now = t
-            pool = pools[fid]
-            self.hot_functions.offer(f"fn-{fid:03d}")
-            if pool:
-                live = [r for r in pool if r[2] + keepalive >= t]
-                if len(live) != len(pool):
-                    for r in pool:
-                        if r[2] + keepalive < t:
-                            self.node_load[int(r[0])] -= 1.0
-                    pool[:] = live
-            replica = None
-            for r in pool:
-                if r[1] <= t:
-                    replica = r
-                    break
-            if replica is not None:
-                replica[1] = t + service_ms
-                replica[2] = t
-                node = int(replica[0])
-                self.h_requests[node].inc()
-                self.h_warm[node].inc()
-            elif len(pool) < c.max_replicas:
-                node, latency = self.cold_start(t, fid)
-                pool.append([float(node), t + latency + service_ms, t])
-                self.h_requests[node].inc()
-            else:
-                # Pool at capacity and every replica busy: queue on the
-                # earliest-free replica (still a warm service).
-                replica = min(pool, key=lambda r: r[1])
-                replica[1] += service_ms
-                replica[2] = t
-                node = int(replica[0])
-                self.h_requests[node].inc()
-                self.h_warm[node].inc()
-        self.windows.flush()
-
 
 def _run_repetition(config: FleetStudyConfig, seed: int,
                     rep: int) -> FleetRepResult:
@@ -545,7 +510,19 @@ def _run_repetition(config: FleetStudyConfig, seed: int,
         requests=config.requests,
         seed=_derive_seed(rep_seed, "fleet-trace"),
     )
-    fleet.run(times, fids)
+    replay = fleet.replay
+    replay.run(times, fids, config.duration_ms)
+    fleet.windows.flush()
+    for node in range(config.compute_nodes):
+        if replay.requests[node]:
+            fleet.h_requests[node].inc(float(replay.requests[node]))
+        if replay.reused[node]:
+            fleet.h_warm[node].inc(float(replay.reused[node]))
+    # The sketch sees only the fid sequence, so a pass of its own
+    # ranks exactly as feeding it per request would.
+    offer = fleet.hot_functions.offer
+    for fid in fids.tolist():
+        offer(f"fn-{fid:03d}")
 
     reg = fleet.fleet
     requests = int(reg.fleet_value("fleet_requests_total"))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.bench.report import format_table
 from repro.bench.traces import synthesize_fleet_workload
 from repro.criu.chunkcache import LRU, HotChunkCache
 from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.faas.replay import TraceReplay
 from repro.functions.base import make_app
 from repro.predict.policy import (
     FixedKeepAlivePolicy,
@@ -283,35 +284,26 @@ def _image_sizes(config: PrewarmStudyConfig, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The per-policy simulator
+# The provisioner: one node, whole images, calibrated cold starts
 # ---------------------------------------------------------------------------
 
 
-class _PolicySim:
-    """One chronological sweep of the trace under one prewarm policy.
+class _ImageProvisioner:
+    """X13's cold-start path for :class:`~repro.faas.replay.TraceReplay`.
 
-    Replicas are ``[ready_ms, busy_until_ms, idle_from_ms, expire_override]``
-    rows in per-function pools. Expiry is lazy (evaluated at arrivals,
-    window ticks, and the final flush) but exact: an idle replica's
-    expiry instant is a deterministic function of when it went idle,
-    so wasted warm-time never depends on when the sweep notices it.
+    One node whose LRU image cache holds whole images keyed by
+    function; a cold start or placement looks the image up and pays
+    the calibrated (miss, hit) provision latency under log-normal
+    jitter. Placements and target refreshes prefetch into the cache.
     """
 
-    def __init__(self, config: PrewarmStudyConfig, policy: PrewarmPolicy,
-                 image_mib: np.ndarray, costs: CostModel, seed: int) -> None:
-        self.c = config
-        self.policy = policy
+    def __init__(self, config: PrewarmStudyConfig, image_mib: np.ndarray,
+                 costs: CostModel, seed: int) -> None:
+        self.functions = config.functions
         self.costs = costs
         self.image_mib: List[float] = image_mib.tolist()
         self.image_bytes = [int(mib) * MIB for mib in self.image_mib]
         self.rng = np.random.Generator(np.random.PCG64(seed))
-        n = config.total_functions
-        self.pools: List[List[List[float]]] = [[] for _ in range(n)]
-        self.ka: List[float] = [policy.keepalive_ms(fid) for fid in range(n)]
-        self.last_arrival: List[float] = [-1.0] * n
-        self.sched_mark: List[float] = [-1.0] * n
-        self.wasted_ms = np.zeros(n, dtype=np.float64)
-        self.cold_by_fid = np.zeros(n, dtype=np.int64)
         self.cache = HotChunkCache(config.node_cache_mib * MIB, policy=LRU)
 
         def provision_ms(mib: float, cached_fraction: float) -> float:
@@ -324,188 +316,54 @@ class _PolicySim:
         self.cold_ms = [(provision_ms(mib, 0.0), provision_ms(mib, 1.0))
                         for mib in self.image_mib]
         self.cold_lats: List[float] = []
-        self.outcome = PolicyOutcome(policy=policy.name)
+        self.cold_cache_hits = 0
+        self.timer_cold_starts = 0
+        self.prefetch_mib = 0.0
 
-    # -- replica lifecycle ---------------------------------------------------
-
-    def _expire(self, fid: int, t: float) -> None:
-        pool = self.pools[fid]
-        if not pool:
-            return
-        ka = self.ka[fid]
-        keep: List[List[float]] = []
-        for r in pool:
-            if r[1] > t:                      # busy or still provisioning
-                keep.append(r)
-                continue
-            expire_at = r[3] if r[3] >= 0.0 else r[2] + ka
-            if expire_at <= t:
-                self.wasted_ms[fid] += max(0.0, expire_at - r[2])
-            else:
-                keep.append(r)
-        pool[:] = keep
-
-    def _cold_latency(self, fid: int,
-                      prefetch: bool = False) -> Tuple[float, bool]:
-        """Calibrated provision latency against the node image cache."""
+    def _latency(self, fid: int) -> Tuple[float, bool]:
         hit = self.cache.lookup(fid, self.image_bytes[fid])
-        if prefetch and not hit:
-            self.outcome.prefetch_mib += self.image_mib[fid]
         factor = math.exp(self.costs.noise_sigma * self.rng.standard_normal())
         return self.cold_ms[fid][hit] * factor, hit
 
-    def _place(self, fid: int, t: float, expire_override: float) -> None:
-        """Pre-provision one replica (prefetching its image first)."""
-        latency, _ = self._cold_latency(fid, prefetch=True)
-        ready = t + latency
-        self.pools[fid].append([ready, ready, ready, expire_override])
-        self.outcome.prewarm_placements += 1
+    def cold_start(self, t: float, fid: int) -> Tuple[int, float]:
+        latency, hit = self._latency(fid)
+        self.cold_lats.append(latency)
+        if hit:
+            self.cold_cache_hits += 1
+        if fid >= self.functions:
+            self.timer_cold_starts += 1
+        return 0, latency
 
-    # -- forecast-window tick ------------------------------------------------
+    def prewarm(self, t: float, fid: int) -> Tuple[int, float]:
+        latency, hit = self._latency(fid)
+        if not hit:
+            self.prefetch_mib += self.image_mib[fid]
+        return 0, latency
 
-    def _tick(self, boundary: float, counts: List[int]) -> None:
-        c = self.c
-        policy = self.policy
-        for fid in range(c.total_functions):
-            policy.observe_window(fid, float(counts[fid]))
-        placed = 0
-        budget = c.prewarm_budget_per_window
-        min_target = 1 if policy.prewarm_singletons else 2
-        for fid in range(c.total_functions):
-            target = policy.target_warm(fid)
-            ka = policy.keepalive_ms(fid)
-            if target > 0:
-                # Anti-churn floor (mirrors PrewarmController): a
-                # deliberately held replica must outlive the gap to the
-                # next planning pass.
-                ka = max(ka, 1.5 * c.window_ms)
-            self.ka[fid] = ka
-            pool = self.pools[fid]
-            if target >= min_target and pool:
-                # Target-protected retention: GC never reaps below the
-                # planned warm set. The most-recently-idle replicas up
-                # to the target are refreshed (their standby time is
-                # accrued as waste now, restarting their idle clock) so
-                # surplus depth for overlap bursts survives between
-                # plans instead of churning cold. Forecast policies
-                # exclude singleton targets (see
-                # ``PrewarmPolicy.prewarm_singletons``).
-                busy = sum(1 for r in pool if r[1] > boundary)
-                idle = sorted((r for r in pool if r[1] <= boundary),
-                              key=lambda r: r[2], reverse=True)
-                for r in idle[:max(0, target - busy)]:
-                    if r[3] >= 0.0:
-                        continue          # scheduled holds keep their own
-                    self.wasted_ms[fid] += max(0.0, boundary - r[2])
-                    r[2] = boundary
-            self._expire(fid, boundary)
-            if target >= min_target and target > len(pool) and placed < budget:
-                add = min(target - len(pool), budget - placed,
-                          c.max_replicas - len(pool))
-                for _ in range(add):
-                    self._place(fid, boundary, -1.0)
-                placed += max(0, add)
-            elif target > 0:
-                # Target already met: refresh the image cache so a
-                # predicted-then-realized cold start fetches locally.
-                self.cache.lookup(fid, self.image_bytes[fid])
-            if (not pool and placed < budget
-                    and self.last_arrival[fid] >= 0.0
-                    and self.sched_mark[fid] != self.last_arrival[fid]):
-                schedule = policy.prewarm_schedule(fid)
-                if schedule is not None:
-                    eta, hold = schedule
-                    due = self.last_arrival[fid] + eta
-                    if boundary >= due + hold:
-                        self.sched_mark[fid] = self.last_arrival[fid]
-                    elif due <= boundary:
-                        self._place(fid, boundary, due + hold)
-                        self.sched_mark[fid] = self.last_arrival[fid]
-                        placed += 1
+    def refresh(self, fid: int) -> None:
+        self.cache.lookup(fid, self.image_bytes[fid])
 
-    # -- arrivals ------------------------------------------------------------
 
-    def _arrival(self, t: float, fid: int) -> None:
-        c = self.c
-        self._expire(fid, t)
-        pool = self.pools[fid]
-        best: Optional[List[float]] = None
-        for r in pool:
-            if r[1] <= t and (best is None or r[2] > best[2]):
-                best = r                      # LIFO: most recently idle
-        if best is not None:
-            self.wasted_ms[fid] += max(0.0, t - best[2])
-            best[1] = t + c.service_ms
-            best[2] = best[1]
-            best[3] = -1.0
-            self.outcome.warm_starts += 1
-        elif len(pool) < c.max_replicas:
-            latency, cached = self._cold_latency(fid)
-            self.cold_lats.append(latency)
-            busy = t + latency + c.service_ms
-            pool.append([t, busy, busy, -1.0])
-            self.outcome.cold_starts += 1
-            self.cold_by_fid[fid] += 1
-            if cached:
-                self.outcome.cold_cache_hits += 1
-            if fid >= c.functions:
-                self.outcome.timer_cold_starts += 1
-        else:
-            replica = min(pool, key=lambda r: r[1])
-            replica[1] += c.service_ms
-            replica[2] = replica[1]
-            replica[3] = -1.0
-            self.outcome.queued += 1
-        if self.last_arrival[fid] >= 0.0:
-            self.policy.note_gap(fid, t - self.last_arrival[fid])
-        self.last_arrival[fid] = t
-
-    # -- the sweep -----------------------------------------------------------
-
-    def run(self, times: np.ndarray, fids: np.ndarray,
-            tick: bool) -> PolicyOutcome:
-        c = self.c
-        n = c.total_functions
-        boundary = c.window_ms
-        counts = [0] * n
-        for t, fid in zip(times.tolist(), fids.tolist()):
-            if tick:
-                while boundary <= t:
-                    self._tick(boundary, counts)
-                    counts = [0] * n
-                    boundary += c.window_ms
-            counts[fid] += 1
-            self._arrival(t, fid)
-        if tick:
-            while boundary <= c.duration_ms:
-                self._tick(boundary, counts)
-                counts = [0] * n
-                boundary += c.window_ms
-        self._flush(c.duration_ms)
-
-        out = self.outcome
-        out.requests = int(times.size)
-        if self.cold_lats:
-            lats = np.asarray(self.cold_lats)
-            out.cold_p50_ms = float(np.quantile(lats, 0.5))
-            out.cold_p99_ms = float(np.quantile(lats, 0.99))
-            out.cold_mean_ms = float(lats.mean())
-        out.wasted_warm_s = float(self.wasted_ms.sum()) / 1000.0
-        out.timer_wasted_warm_s = \
-            float(self.wasted_ms[c.functions:].sum()) / 1000.0
-        return out
-
-    def _flush(self, end_ms: float) -> None:
-        """Close out idle time still accruing when the trace ends."""
-        for fid, pool in enumerate(self.pools):
-            ka = self.ka[fid]
-            for r in pool:
-                idle_from = r[2]
-                if idle_from >= end_ms:
-                    continue
-                expire_at = r[3] if r[3] >= 0.0 else idle_from + ka
-                self.wasted_ms[fid] += max(
-                    0.0, min(expire_at, end_ms) - idle_from)
+def _outcome(name: str, config: PrewarmStudyConfig, requests: int,
+             replay: TraceReplay,
+             provisioner: _ImageProvisioner) -> PolicyOutcome:
+    out = PolicyOutcome(
+        policy=name, requests=requests,
+        cold_starts=replay.cold_starts, warm_starts=replay.warm_starts,
+        queued=replay.queued,
+        timer_cold_starts=provisioner.timer_cold_starts,
+        prewarm_placements=replay.prewarm_placements,
+        prefetch_mib=provisioner.prefetch_mib,
+        cold_cache_hits=provisioner.cold_cache_hits)
+    if provisioner.cold_lats:
+        lats = np.asarray(provisioner.cold_lats)
+        out.cold_p50_ms = float(np.quantile(lats, 0.5))
+        out.cold_p99_ms = float(np.quantile(lats, 0.99))
+        out.cold_mean_ms = float(lats.mean())
+    wasted = np.asarray(replay.wasted_ms)
+    out.wasted_warm_s = float(wasted.sum()) / 1000.0
+    out.timer_wasted_warm_s = float(wasted[config.functions:].sum()) / 1000.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +422,18 @@ def _run_repetition(config: PrewarmStudyConfig, seed: int,
     result = PrewarmRepResult(rep=rep, seed=rep_seed)
     for name in POLICY_LADDER:
         policy = _build_policy(name, config, rep_seed, oracle_counts)
-        sim = _PolicySim(config, policy, image_mib, DEFAULT_COST_MODEL,
-                         seed=_derive_seed(rep_seed, f"latency-{name}"))
+        provisioner = _ImageProvisioner(
+            config, image_mib, DEFAULT_COST_MODEL,
+            seed=_derive_seed(rep_seed, f"latency-{name}"))
         tick = name in ("histogram", "learned", "oracle")
-        result.outcomes[name] = sim.run(times, fids, tick=tick)
+        replay = TraceReplay(
+            policy, provisioner, functions=config.total_functions,
+            service_ms=config.service_ms, max_replicas=config.max_replicas,
+            window_ms=config.window_ms if tick else None,
+            prewarm_budget=config.prewarm_budget_per_window)
+        replay.run(times, fids, config.duration_ms)
+        result.outcomes[name] = _outcome(name, config, int(times.size),
+                                         replay, provisioner)
     return result
 
 

@@ -212,36 +212,6 @@ def observe(kernel, name: str, value: float,
                               trace_id=exemplar)
 
 
-def observe_many(kernel, name: str, values,
-                 labels: Optional[Dict[str, str]] = None) -> None:
-    """Batched :func:`observe`: one histogram write for many values.
-
-    The histogram lands the batch through its vectorized
-    ``observe_many`` (no exemplars); the optional time-series and
-    anomaly layers still see every sample individually, so rollups and
-    detectors behave exactly as with repeated single observations.
-    """
-    hub = kernel.obs
-    if hub is None or len(values) == 0:
-        return
-    hub.metrics.histogram_series(name, labels).observe_many(values)
-    feed_timeseries = hub.timeseries is not None
-    recorder = kernel.flight
-    feed_flight = recorder is not None and recorder.sample_metrics
-    feed_anomaly = hub.anomaly is not None
-    if feed_timeseries or feed_flight or feed_anomaly:
-        now = kernel.clock.now
-        for value in values:
-            if feed_timeseries:
-                hub.timeseries.record(name, now, value,
-                                      kind=_timeseries.VALUE_SAMPLE)
-            if feed_flight:
-                recorder.record(flight.METRIC_SAMPLE, metric=name,
-                                value=value, sample_kind=_timeseries.VALUE_SAMPLE)
-            if feed_anomaly:
-                hub.anomaly.offer(name, now, value)
-
-
 __all__ = [
     "Observability",
     "install",
@@ -254,7 +224,6 @@ __all__ = [
     "count",
     "gauge",
     "observe",
-    "observe_many",
     "CounterHandle",
     "GaugeHandle",
     "record",

@@ -72,9 +72,15 @@ class WindowStat:
 
 
 class WindowedSeries:
-    """Bounded ring of ``(sim_time, value)`` samples for one metric."""
+    """Bounded ring of ``(sim_time, value)`` samples for one metric.
 
-    __slots__ = ("name", "kind", "capacity", "_samples", "total_samples")
+    ``evicted_ms`` is the timestamp of the newest sample the ring has
+    pushed out (``None`` before the first eviction): a window starting
+    at or before it may have lost samples, so it is not reported.
+    """
+
+    __slots__ = ("name", "kind", "capacity", "_samples", "total_samples",
+                 "evicted_ms")
 
     def __init__(self, name: str, kind: str = VALUE_SAMPLE,
                  capacity: int = DEFAULT_CAPACITY) -> None:
@@ -85,8 +91,11 @@ class WindowedSeries:
         self.capacity = capacity
         self._samples: Deque[Tuple[float, float]] = deque(maxlen=capacity)
         self.total_samples = 0
+        self.evicted_ms: Optional[float] = None
 
     def record(self, at_ms: float, value: float) -> None:
+        if len(self._samples) == self.capacity:
+            self.evicted_ms = self._samples[0][0]
         self._samples.append((at_ms, float(value)))
         self.total_samples += 1
 
@@ -100,13 +109,19 @@ class WindowedSeries:
         """Sample values with ``start_ms <= t < end_ms`` (time order)."""
         return [v for t, v in self._samples if start_ms <= t < end_ms]
 
+    def truncated(self, start_ms: float) -> bool:
+        """Whether a window starting at ``start_ms`` lost samples to
+        ring eviction."""
+        return self.evicted_ms is not None and start_ms <= self.evicted_ms
+
     def windows(self, window_ms: float, t0: float = 0.0) -> List[WindowStat]:
         """Roll the buffered samples into fixed windows of ``window_ms``.
 
         Windows are aligned to ``t0`` (``[t0 + k*w, t0 + (k+1)*w)``).
         Empty leading/trailing windows are skipped; empty windows
         *between* populated ones are kept, so gaps stay visible as
-        zero-count entries in the curve.
+        zero-count entries in the curve. Windows that lost samples to
+        ring eviction are dropped rather than reported short.
         """
         if window_ms <= 0:
             raise ValueError(f"window_ms must be positive, got {window_ms}")
@@ -119,6 +134,8 @@ class WindowedSeries:
         out: List[WindowStat] = []
         for k in range(first, last + 1):
             lo = t0 + k * window_ms
+            if self.truncated(lo):
+                continue
             hi = lo + window_ms
             mask = (times >= lo) & (times < hi)
             out.append(WindowStat(lo, hi, values[mask]))
@@ -182,14 +199,17 @@ class TimeseriesTable:
     def windowed_rate(self, bad: str, total: str, start_ms: float,
                       end_ms: float) -> Optional[float]:
         """``sum(bad) / sum(total)`` over one window, or None when the
-        window saw no ``total`` increments."""
+        window saw no ``total`` increments or either series lost
+        samples of it to ring eviction."""
         total_series = self._series.get(total)
-        if total_series is None:
+        if total_series is None or total_series.truncated(start_ms):
             return None
         denominator = sum(total_series.values_between(start_ms, end_ms))
         if denominator <= 0:
             return None
         bad_series = self._series.get(bad)
+        if bad_series is not None and bad_series.truncated(start_ms):
+            return None
         numerator = (sum(bad_series.values_between(start_ms, end_ms))
                      if bad_series is not None else 0.0)
         return min(1.0, numerator / denominator)

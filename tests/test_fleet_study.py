@@ -28,7 +28,7 @@ def run_fleet(config, seed=7, outage_node=0):
     times, fids = synthesize_fleet_workload(
         function_count=config.functions, duration_ms=config.duration_ms,
         requests=config.requests, seed=seed)
-    fleet.run(times, fids)
+    fleet.replay.run(times, fids, config.duration_ms)
     return fleet
 
 

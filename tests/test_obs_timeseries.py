@@ -58,6 +58,24 @@ class TestWindowedSeries:
         assert series.total_samples == 10
         assert [v for _, v in series.samples()] == [7.0, 8.0, 9.0]
 
+    def test_window_truncated_by_eviction_is_not_reported(self):
+        # The ring keeps 20, 30, 110, 120: [0, 100) lost two of its
+        # four samples, so it must not be reported as a complete window.
+        series = WindowedSeries("latency_ms", capacity=4)
+        for at_ms in (0.0, 10.0, 20.0, 30.0, 110.0, 120.0):
+            series.record(at_ms, 1.0)
+        assert series.evicted_ms == 10.0
+        (window,) = series.windows(100.0)
+        assert (window.start_ms, window.count, window.total) == (100.0, 2, 2.0)
+
+    def test_window_starting_at_the_eviction_is_dropped(self):
+        series = WindowedSeries("latency_ms", capacity=2)
+        for at_ms in (100.0, 150.0, 250.0):
+            series.record(at_ms, 1.0)
+        assert series.evicted_ms == 100.0
+        assert [w.start_ms for w in series.windows(100.0)] == [200.0]
+        assert [w.start_ms for w in series.windows(50.0)] == [150.0, 200.0, 250.0]
+
     def test_values_between_is_half_open(self):
         series = WindowedSeries("latency_ms")
         series.record(100.0, 1.0)
@@ -83,6 +101,20 @@ class TestTimeseriesTable:
         table.record("total", 10.0, 1.0, kind=COUNTER_SAMPLE)
         table.record("bad", 20.0, 1.0, kind=COUNTER_SAMPLE)
         assert table.windowed_rate("bad", "total", 0.0, 100.0) == 1.0
+        assert table.windowed_rate("bad", "total", 100.0, 200.0) is None
+
+    def test_windowed_rate_none_for_a_truncated_window(self):
+        table = TimeseriesTable(window_ms=100.0, capacity=4)
+        for at_ms in (0.0, 10.0, 20.0, 30.0, 110.0, 120.0):
+            table.record("total", at_ms, 1.0, kind=COUNTER_SAMPLE)
+        table.record("bad", 5.0, 1.0, kind=COUNTER_SAMPLE)
+        assert table.windowed_rate("bad", "total", 0.0, 100.0) is None
+        assert table.windowed_rate("bad", "total", 100.0, 200.0) == 0.0
+        for at_ms in (101.0, 102.0, 103.0, 104.0):
+            table.record("bad", at_ms, 1.0, kind=COUNTER_SAMPLE)
+        # "bad" evicted its sample at 5 ms, not one of [100, 200).
+        assert table.windowed_rate("bad", "total", 100.0, 200.0) == 1.0
+        table.record("bad", 105.0, 1.0, kind=COUNTER_SAMPLE)
         assert table.windowed_rate("bad", "total", 100.0, 200.0) is None
 
     def test_rollup_is_json_ready(self):
