@@ -10,7 +10,7 @@ paper's introduction motivates.
 import pytest
 
 from repro.core.policy import AfterWarmup
-from repro.faas.cluster import run_burst_experiment
+from repro.bench.platform_study import run_burst_experiment
 from repro.bench.report import format_table
 
 
@@ -37,7 +37,7 @@ def test_ext_concurrent_burst(benchmark, record_result):
             rows.append([
                 technique, case,
                 str(metrics.cold_starts),
-                f"{metrics.wait_quantile(0.99):.1f}",
+                f"{metrics.latency_p(0.99):.1f}",
                 f"{metrics.makespan_ms:.1f}",
             ])
             benchmark.extra_info[f"{technique}_{case}_makespan_ms"] = round(

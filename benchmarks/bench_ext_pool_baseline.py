@@ -8,7 +8,7 @@ waits without holding instances; vanilla pays full price.
 
 import pytest
 
-from repro.bench.arrivals import bursty_arrivals
+from repro.bench.traces import bursty_arrivals
 from repro.bench.platform_study import compare_strategies, render_study
 
 

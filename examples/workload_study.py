@@ -10,7 +10,7 @@ cost — the full trade-off space the paper's introduction sketches.
 Run: ``python examples/workload_study.py``
 """
 
-from repro.bench.arrivals import bursty_arrivals, diurnal_arrivals, poisson_arrivals
+from repro.bench.traces import bursty_arrivals, diurnal_arrivals, poisson_arrivals
 from repro.bench.platform_study import compare_strategies, render_study
 
 TRACES = {

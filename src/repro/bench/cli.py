@@ -77,7 +77,7 @@ def _run_ext_runtimes(args) -> str:
 
 
 def _run_ext_pool(args) -> str:
-    from repro.bench.arrivals import bursty_arrivals
+    from repro.bench.traces import bursty_arrivals
     from repro.bench.platform_study import compare_strategies, render_study
     trace = bursty_arrivals(burst_rate_per_s=20, duration_ms=600_000,
                             mean_on_ms=2_000, mean_off_ms=60_000,

@@ -53,12 +53,17 @@ class TraceReplay:
     warm replicas) and per-node ``requests`` and ``reused`` (requests
     an existing replica served: warm starts plus queued). ``live``
     counts each node's live replicas as the sweep goes.
+
+    :meth:`arrive` serves one request outside a sweep too, for callers
+    that drive the pool one request at a time and need each wait.
     """
 
     def __init__(self, policy: PrewarmPolicy, provisioner, *,
                  functions: int, service_ms: float, max_replicas: int,
                  nodes: int = 1, window_ms: Optional[float] = None,
                  prewarm_budget: int = 0) -> None:
+        if max_replicas < 1:
+            raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
         self.policy = policy
         self.provisioner = provisioner
         self.functions = functions
@@ -175,7 +180,10 @@ class TraceReplay:
 
     # -- arrivals ------------------------------------------------------------
 
-    def _arrival(self, t: float, fid: int) -> None:
+    def arrive(self, t: float, fid: int) -> float:
+        """Serve one arrival and return its wait before service: 0 for
+        a warm pick, the provisioner latency for a cold start, and the
+        time until the chosen replica frees up for a queued request."""
         service_ms = self.service_ms
         self._expire(fid, t)
         pool = self.pools[fid]
@@ -185,6 +193,7 @@ class TraceReplay:
                 best = r                      # LIFO: most recently idle
         if best is not None:
             self.wasted_ms[fid] += max(0.0, t - best[2])
+            wait = 0.0
             best[1] = t + service_ms
             best[2] = best[1]
             best[3] = -1.0
@@ -193,12 +202,14 @@ class TraceReplay:
             self.reused[node] += 1
         elif len(pool) < self.max_replicas:
             node, latency = self.provisioner.cold_start(t, fid)
+            wait = latency
             busy = t + latency + service_ms
             pool.append([node, busy, busy, -1.0])
             self.live[node] += 1
             self.cold_starts += 1
         else:
             replica = min(pool, key=lambda r: r[1])
+            wait = replica[1] - t
             replica[1] += service_ms
             replica[2] = replica[1]
             replica[3] = -1.0
@@ -209,6 +220,7 @@ class TraceReplay:
         if self.last_arrival[fid] >= 0.0:
             self.policy.note_gap(fid, t - self.last_arrival[fid])
         self.last_arrival[fid] = t
+        return wait
 
     # -- the sweep -----------------------------------------------------------
 
@@ -225,7 +237,7 @@ class TraceReplay:
                 counts = [0] * n
                 boundary += window_ms
             counts[fid] += 1
-            self._arrival(t, fid)
+            self.arrive(t, fid)
         while boundary <= end_ms:
             self._tick(boundary, counts)
             counts = [0] * n

@@ -73,6 +73,20 @@ class TestSynthesizeFleetWorkload:
         with pytest.raises(TraceFormatError):
             synthesize_fleet_workload(5, 1000.0, 10, bursty_fraction=2.0)
 
+    def test_shape_validation(self):
+        # The ON/OFF and diurnal shapes check their parameters before
+        # any draw, whether or not a function ends up bursty.
+        for bad in (dict(diurnal_floor=1.5), dict(diurnal_floor=-0.1),
+                    dict(mean_on_ms=0.0), dict(mean_off_ms=-1.0),
+                    dict(mean_on_ms=0.0, mean_off_ms=0.0),
+                    dict(mean_on_ms=0.0, bursty_fraction=0.0),
+                    dict(margin=0.0)):
+            with pytest.raises(TraceFormatError):
+                synthesize_fleet_workload(5, 1000.0, 10, **bad)
+        # Still a ValueError, for callers that catch the broader type.
+        with pytest.raises(ValueError):
+            synthesize_fleet_workload(5, 1000.0, 10, diurnal_floor=1.5)
+
 
 class TestFleetStudy:
     def test_deterministic_artifact(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.platform_study import StudyResult, run_platform_study
-from repro.bench.arrivals import poisson_arrivals
+from repro.bench.traces import poisson_arrivals
 
 
 class TestStudyResultMath:
@@ -27,6 +27,11 @@ class TestStudyResultMath:
 
     def test_latency_empty(self):
         assert StudyResult("x", 0, 0).latency_p(0.99) == 0.0
+
+    def test_wait_quantile_and_empty_burst(self):
+        empty = StudyResult("x", 0, 0)
+        assert empty.latency_p(0.99) == 0.0
+        assert empty.makespan_ms == 0.0 and empty.peak_replicas == 0
 
     def test_idle_gib_hours_conversion(self):
         # 1024 MiB held for one hour = 1 GiB·hour.

@@ -3,10 +3,13 @@
 The engine must reproduce X13's ``_PolicySim`` exactly (counters,
 per-function waste, every provisioner call) and differ from X12's
 ``_Fleet.run`` only in the pick order and the idle clock. Invariants
-are checked after every arrival for both studies' setups.
+are checked after every arrival for both studies' setups. The pool
+rules themselves (cold start, reuse, overlap, queueing, expiry) are
+pinned on hand-built traces.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,14 +156,16 @@ class Invariants:
     def __init__(self, replay: TraceReplay) -> None:
         self.replay = replay
         self.arrivals = 0
-        inner = replay._arrival
+        inner = replay.arrive
 
-        def arrival(t, fid):
-            inner(t, fid)
+        def arrive(t, fid):
+            wait = inner(t, fid)
             self.arrivals += 1
             self.check()
+            assert wait >= 0.0
+            return wait
 
-        replay._arrival = arrival
+        replay.arrive = arrive
 
     def check(self) -> None:
         r = self.replay
@@ -174,6 +179,84 @@ class Invariants:
                 rows[row[0]] += 1
         assert rows == r.live
         assert all(w >= 0.0 for w in r.wasted_ms)
+
+
+class TestPoolRules:
+    """One function on one node, :class:`FakeProvisioner` latencies
+    (1, 8, 15, ... ms for the 1st, 2nd, 3rd, ... cold start) and 10 ms
+    of service."""
+
+    def _replay(self, max_replicas=4, keepalive_ms=1_000.0):
+        return TraceReplay(FixedKeepAlivePolicy(keepalive_ms),
+                           FakeProvisioner(), functions=1, service_ms=10.0,
+                           max_replicas=max_replicas)
+
+    def test_single_request_cold_start(self):
+        replay = self._replay()
+        assert replay.arrive(0.0, 0) == 1.0
+        assert replay.cold_starts == 1
+        assert replay.pools[0][0][1] == 11.0      # busy until wait + service
+
+    def test_second_request_reuses_idle_replica(self):
+        replay = self._replay()
+        replay.arrive(0.0, 0)
+        assert replay.arrive(200.0, 0) == 0.0
+        assert replay.cold_starts == replay.warm_starts == 1
+        assert replay.provisioner.calls == [("cold", 0.0, 0)]
+
+    def test_concurrent_burst_overlapping_cold_starts(self):
+        # Cold starts overlap: a burst of 3 with capacity 4 is done one
+        # (the longest) start-up after t=0, not after their sum.
+        replay = self._replay(max_replicas=4)
+        assert [replay.arrive(0.0, 0) for _ in range(3)] == [1.0, 8.0, 15.0]
+        assert replay.cold_starts == 3
+        assert replay.live == [3]
+        assert max(r[1] for r in replay.pools[0]) == 25.0
+
+    def test_queueing_at_replica_cap(self):
+        replay = self._replay(max_replicas=1)
+        waits = [replay.arrive(0.0, 0) for _ in range(3)]
+        assert replay.cold_starts == 1 and replay.queued == 2
+        # Serial service behind one replica: 1+10, +10, +10.
+        assert waits == [1.0, 11.0, 21.0]
+        assert replay.pools[0][0][1] == 31.0
+
+    def test_queue_picks_earliest_free_replica(self):
+        replay = self._replay(max_replicas=2)
+        replay.arrive(0.0, 0)                     # A: busy until 11
+        replay.arrive(0.0, 0)                     # B: busy until 18
+        assert replay.arrive(0.0, 0) == 11.0      # queues on A
+        assert [r[1] for r in replay.pools[0]] == [21.0, 18.0]
+
+    def test_fifo_queue_order(self):
+        replay = self._replay(max_replicas=1)
+        times = [0.0, 1.0, 2.0]
+        dispatched = [t + replay.arrive(t, 0) for t in times]
+        assert dispatched == [1.0, 11.0, 21.0]
+
+    def test_idle_expiry_forces_new_cold_start(self):
+        replay = self._replay(keepalive_ms=500.0)
+        replay.run(np.array([0.0, 2_000.0]), np.zeros(2, dtype=np.int64),
+                   5_000.0)
+        assert replay.cold_starts == 2
+        # The first replica expired before the second arrival, and both
+        # were idle for exactly their keep-alive.
+        assert replay.live == [1] and len(replay.pools[0]) == 1
+        assert replay.wasted_ms == [1_000.0]
+
+    def test_reuse_restarts_the_idle_clock(self):
+        # Idle from 11, reused at 300 (busy until 310), reused at 600:
+        # 589 ms after the first idle instant, 290 after the second.
+        replay = self._replay(keepalive_ms=500.0)
+        waits = [replay.arrive(t, 0) for t in (0.0, 300.0, 600.0)]
+        assert waits == [1.0, 0.0, 0.0]
+        assert replay.cold_starts == 1 and replay.warm_starts == 2
+
+    def test_invalid_capacity(self):
+        # Caught here, not at the first arrival's empty queue pick.
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="max_replicas"):
+                self._replay(max_replicas=cap)
 
 
 class TestAgainstPolicySim:
