@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.faults.errors import SnapshotCorrupted
-from repro.osproc.memory import PAGE_SIZE, TAGS
+from repro.osproc.memory import PAGE_SIZE, TAGS, Pagemap, pagemap_arrays
 
 
 # Leaves the digest projection passes through unchanged (JSON-native).
@@ -114,9 +114,10 @@ class VMADescriptor:
 
     Frozen, with tuple page lists, so what a restore derives from its
     pages is computed once per descriptor and cached on it: the index
-    and interned tag-id arrays the transmute populates from, and the
-    JSON text the image digests hash. ``dataclasses.replace`` (tamper,
-    repair) builds a fresh instance with empty caches.
+    and interned tag-id arrays, the full-length pagemap the transmute
+    copies into each restored mapping, and the JSON text the image
+    digests hash. ``dataclasses.replace`` (tamper, repair) builds a
+    fresh instance with empty caches.
     """
 
     start: int
@@ -151,6 +152,13 @@ class VMADescriptor:
     def tag_ids(self) -> np.ndarray:
         """Content tags interned in :data:`TAGS`, as a read-only int32 array."""
         return _read_only(TAGS.intern_many(self.content_tags))
+
+    @functools.cached_property
+    def pagemap(self) -> Pagemap:
+        """Read-only (resident mask, tag ids) over every page of the
+        mapping; building it range-checks the resident indices."""
+        return pagemap_arrays(-(-self.length // PAGE_SIZE),
+                              self.index_array, self.tag_ids)
 
     @functools.cached_property
     def digest_text(self) -> Tuple[bytes, int]:

@@ -517,7 +517,7 @@ class RestoreEngine:
             if desc.file_path is not None:
                 kernel.fs.ensure(desc.file_path,
                                  size=max(desc.file_size, desc.file_offset + desc.length))
-            vma = space.mmap(
+            space.mmap(
                 length=desc.length,
                 kind=VMAKind(desc.kind),
                 prot=desc.prot,
@@ -525,8 +525,8 @@ class RestoreEngine:
                 file_path=desc.file_path,
                 file_offset=desc.file_offset,
                 label=desc.label,
+                pagemap=desc.pagemap,
             )
-            vma.populate_pages(desc.index_array, desc.tag_ids, dirty=False)
             if desc.file_path is not None:
                 # Mapping the file's dumped pages leaves them warm — the
                 # mechanism behind the paper's cheaper post-restore

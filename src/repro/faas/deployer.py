@@ -7,12 +7,13 @@ replicas into computing resources."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.manager import PrebakeManager
 from repro.core.store import SnapshotKey
 from repro.criu.chunkcache import HotChunkCache, make_cache
+from repro.criu.pagestore import LayeredImage
 from repro.faas.registry import FunctionMetadata, FunctionRegistry
 from repro.faas.replica import FunctionReplica, ReplicaState
 from repro.faas.resources import ResourceManager
@@ -105,12 +106,16 @@ class FunctionDeployer:
                                                     metadata),
                     shard_store=self.shard_store,
                 )
+                # Split the layer bytes before the restore: its chunk
+                # pass admits every chunk into an opted-in node cache.
+                pull = self._layer_pull_split(metadata, allocation.node.name)
                 handle = starter.start(app)
             except Exception:
                 allocation.release()
                 raise
-            if metadata.start_technique == "prebake":
-                self._account_layer_pull(metadata, allocation.node.name)
+            if pull is not None:
+                self._account_layer_pull(metadata.name, allocation.node.name,
+                                         *pull)
             # Confine the replica to a memory cgroup sized like its
             # container reservation (the OOM boundary in production).
             cgroup = self.cgroups.create(
@@ -244,28 +249,47 @@ class FunctionDeployer:
             obs.count(self.kernel, "deployer_locality_miss_total",
                       labels=labels)
 
-    def _account_layer_pull(self, metadata: FunctionMetadata,
-                            node_name: str) -> None:
-        """Account the snapshot layer bytes this provision moved.
+    def _layer_pull_split(self, metadata: FunctionMetadata, node_name: str
+                          ) -> Optional[Tuple[LayeredImage, int, int]]:
+        """(layers, pulled bytes, cached bytes) of a provision on ``node_name``.
 
         Pure byte accounting (transfer time is part of the container
         provision cost): chunks the node's hot-chunk cache already
         holds — from a previous replica of this function or any
-        function sharing its runtime base — are not re-pulled.
+        function sharing its runtime base — are not re-pulled, and a
+        chunk repeated within the image is pulled once. None for
+        non-prebake starts and images without layers.
         """
+        if metadata.start_technique != "prebake":
+            return None
         layered = self.prebake_manager.store.layered(
             self._snapshot_key(metadata))
         if layered is None:
-            return
+            return None
+        refs = layered.chunk_refs
+        distinct = {ref.chunk_id: ref.size_bytes for ref in refs}
+        cache = self._node_chunk_cache.get(node_name)
+        if cache is not None:
+            distinct = {cid: size for cid, size in distinct.items()
+                        if not cache.contains(cid)}
+        pulled = sum(distinct.values())
+        return layered, pulled, sum(ref.size_bytes for ref in refs) - pulled
+
+    def _account_layer_pull(self, function: str, node_name: str,
+                            layered: LayeredImage, pulled: int,
+                            cached: int) -> None:
+        """Emit a started provision's layer pull and admit its chunks.
+
+        ``pulled``/``cached`` come from :meth:`_layer_pull_split`, taken
+        before the start. The lookups here admit the chunks into the
+        node cache (a restore only does so for opted-in functions) and
+        feed the chunk-heat sketch.
+        """
         cache = self.node_cache(node_name)
-        pulled = cached = 0
         for ref in layered.chunk_refs:
             self.chunk_sketch.offer(ref.chunk_id)
-            if cache.lookup(ref.chunk_id, ref.size_bytes):
-                cached += ref.size_bytes
-            else:
-                pulled += ref.size_bytes
-        labels = {"function": metadata.name}
+            cache.lookup(ref.chunk_id, ref.size_bytes)
+        labels = {"function": function}
         obs.count(self.kernel, "deployer_layer_bytes_pulled_total",
                   value=float(pulled), labels=labels)
         obs.count(self.kernel, "deployer_layer_bytes_cached_total",

@@ -19,9 +19,9 @@ from repro.osproc.kernel import Kernel
 from repro.runtime.base import Request, Response
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationRecord:
-    """Telemetry for one routed request."""
+    """Telemetry for one routed request (kept per request, so slotted)."""
 
     function: str
     cold_start: bool

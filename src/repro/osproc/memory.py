@@ -118,6 +118,31 @@ TAGS = _TagTable()
 # Page tags as strings, or as an int32 array of ids interned in TAGS.
 _Tags = Union[Sequence[str], np.ndarray]
 
+# A mapping's (resident mask, tag ids), one entry per page.
+Pagemap = Tuple[np.ndarray, np.ndarray]
+
+
+def pagemap_arrays(page_count: int, indices: np.ndarray,
+                   tag_ids: np.ndarray) -> Pagemap:
+    """The read-only :data:`Pagemap` of ``page_count`` pages of which
+    ``indices`` (unique) are resident with the interned ``tag_ids``.
+
+    Equal to what ``populate_pages(indices, tag_ids)`` leaves in a fresh
+    mapping; :meth:`AddressSpace.mmap` copies it into a new VMA.
+    """
+    if len(indices) and (int(indices.min()) < 0
+                         or int(indices.max()) >= page_count):
+        raise MemoryError_(
+            f"page index out of range for VMA of {page_count} pages"
+        )
+    resident = np.zeros(page_count, dtype=bool)
+    resident[indices] = True
+    tags = np.zeros(page_count, dtype=np.int32)
+    tags[indices] = tag_ids
+    resident.flags.writeable = False
+    tags.flags.writeable = False
+    return resident, tags
+
 
 class VMAKind(Enum):
     """What a mapping backs — drives dump/restore behaviour."""
@@ -181,6 +206,12 @@ class _VMABase:
         self.file_offset = file_offset
         self.label = label
 
+    def _check_pagemap(self, pagemap: Pagemap) -> None:
+        resident, tag_ids = pagemap
+        n = self.page_count
+        if len(resident) != n or len(tag_ids) != n:
+            raise MemoryError_(f"pagemap does not cover the {n} pages of the VMA")
+
     @property
     def end(self) -> int:
         return self.start + self.length
@@ -211,7 +242,8 @@ class VMA(_VMABase):
     content tags are interned ids into :data:`TAGS`. All the bulk
     operations (:meth:`touch_range`, :meth:`dump_pages`,
     :meth:`populate_pages`, :meth:`clear_soft_dirty`) are single
-    vectorized passes.
+    vectorized passes. A ``pagemap`` (see :func:`pagemap_arrays`) is
+    copied in as clean resident pages, as a restore maps them.
     """
 
     __slots__ = ("start", "length", "kind", "prot", "file_path",
@@ -227,14 +259,23 @@ class VMA(_VMABase):
         file_path: Optional[str] = None,
         file_offset: int = 0,
         label: str = "",
+        pagemap: Optional[Pagemap] = None,
     ) -> None:
         self._init_common(start, length, kind, prot, file_path, file_offset, label)
         n = length // PAGE_SIZE
-        self._resident = np.zeros(n, dtype=bool)
+        if pagemap is None:
+            self._resident = np.zeros(n, dtype=bool)
+            self._tag_ids = np.zeros(n, dtype=np.int32)
+            self._resident_count = 0
+        else:
+            self._check_pagemap(pagemap)
+            self._resident = pagemap[0].copy()
+            self._tag_ids = pagemap[1].copy()
+            self._resident_count = int(np.count_nonzero(self._resident))
+        # Restored pages are clean but soft-dirty, like populate_pages
+        # with dirty=False leaves them.
         self._dirty = np.zeros(n, dtype=bool)
-        self._soft = np.zeros(n, dtype=bool)
-        self._tag_ids = np.zeros(n, dtype=np.int32)
-        self._resident_count = 0
+        self._soft = self._resident.copy()
 
     # -- residency -----------------------------------------------------------
 
@@ -293,9 +334,7 @@ class VMA(_VMABase):
 
         ``indices`` must be unique (descriptor order from a dump is).
         ``tags`` are strings or an int32 array of ids already interned
-        in :data:`TAGS`. The restore transmute path passes a
-        descriptor's cached arrays to rebuild a mapping's resident set
-        in one vectorized pass.
+        in :data:`TAGS`.
         """
         count = len(indices)
         if count == 0:
@@ -392,9 +431,14 @@ class SlowVMA(_VMABase):
         file_path: Optional[str] = None,
         file_offset: int = 0,
         label: str = "",
+        pagemap: Optional[Pagemap] = None,
     ) -> None:
         self._init_common(start, length, kind, prot, file_path, file_offset, label)
         self._pages: Dict[int, Page] = {}
+        if pagemap is not None:
+            self._check_pagemap(pagemap)
+            indices = np.flatnonzero(pagemap[0])
+            self.populate_pages(indices, pagemap[1][indices], dirty=False)
 
     @property
     def resident_pages(self) -> int:
@@ -516,8 +560,14 @@ class AddressSpace:
         label: str = "",
         populate: bool = False,
         content_tag: str = "",
+        pagemap: Optional[Pagemap] = None,
     ) -> _VMABase:
-        """Create a mapping; kernel picks the address unless ``start`` given."""
+        """Create a mapping; kernel picks the address unless ``start`` given.
+
+        ``pagemap`` (see :func:`pagemap_arrays`) makes the mapping start
+        with those pages resident, clean and soft-dirty: how a restore
+        maps a dumped VMA in one copy instead of a per-page scatter.
+        """
         length = -(-length // PAGE_SIZE) * PAGE_SIZE  # round up to page multiple
         if start is None:
             start = self._next_mmap_base
@@ -530,6 +580,7 @@ class AddressSpace:
             file_path=file_path,
             file_offset=file_offset,
             label=label,
+            pagemap=pagemap,
         )
         for existing in self._vmas:
             if existing.overlaps(vma):

@@ -19,7 +19,7 @@ three techniques of Table 1 fall out of these mechanics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, FrozenSet, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.osproc.kernel import Kernel
 from repro.osproc.memory import PAGE_SIZE, VMAKind
@@ -44,12 +44,76 @@ class JVMConfig:
     code_cache_per_class_kib: float = 0.0
 
 
-@dataclass
-class LoadedClass:
-    """Classloader metadata for one loaded class."""
+# Per shared class table (the immutable tuples ``generate_classes``
+# returns), keyed by the table's id: its frozenset of names, and the
+# (ms, KiB) of loading all of it into an empty loader under one pricing
+# (page-cache warmth plus the three class-load cost constants). Each
+# entry holds the table, so its id cannot be reused while the entry
+# lives; each memo is cleared when it fills.
+_TABLE_NAMES: Dict[int, Tuple[tuple, FrozenSet[str]]] = {}
+_TABLE_COST: Dict[tuple, Tuple[tuple, Tuple[float, float]]] = {}
+_TABLE_MEMO_MAX = 256
 
-    cls: SyntheticClass
-    compiled: bool = False
+
+def _shared(classes: Sequence[SyntheticClass]) -> bool:
+    """Whether ``classes`` can never change: a tuple of frozen classes."""
+    return type(classes) is tuple and all(
+        type(cls) is SyntheticClass for cls in classes)
+
+
+def _remember(memo: dict, key, table: tuple, value) -> None:
+    if len(memo) >= _TABLE_MEMO_MAX:
+        memo.clear()
+    memo[key] = (table, value)
+
+
+def table_names(classes: Sequence[SyntheticClass]) -> FrozenSet[str]:
+    """The class names of ``classes``, computed once per shared table."""
+    hit = _TABLE_NAMES.get(id(classes))
+    if hit is not None:
+        return hit[1]
+    names = frozenset(cls.name for cls in classes)
+    if _shared(classes):
+        _remember(_TABLE_NAMES, id(classes), classes, names)
+    return names
+
+
+def _load_cost(classes: Sequence[SyntheticClass], loaded: Set[str],
+               warmth: float, costs) -> Tuple[float, float]:
+    """(ms, KiB) of loading each class of ``classes`` not in ``loaded``.
+
+    Left to right, one class at a time, adding each name to ``loaded``.
+    The per-byte cost splits into a parse/compile component that is
+    always paid and an I/O component scaled by how cold the jar's pages
+    are — warm page cache (e.g. right after a CRIU restore of the jar
+    mapping) skips it.
+    """
+    parse_per_kib = costs.restored_load_per_kib_ms
+    io_per_kib = max(0.0, costs.cold_load_per_kib_ms - parse_per_kib)
+    total_ms = 0.0
+    total_kib = 0.0
+    for cls in classes:
+        if cls.name in loaded:
+            continue
+        total_ms += costs.cold_load_per_class_ms
+        total_ms += cls.size_kib * (parse_per_kib + io_per_kib * (1.0 - warmth))
+        total_kib += cls.size_kib
+        loaded.add(cls.name)
+    return total_ms, total_kib
+
+
+def _table_load_cost(classes: Sequence[SyntheticClass], warmth: float,
+                     costs) -> Tuple[float, float]:
+    """:func:`_load_cost` of a whole table into an empty loader, memoized."""
+    key = (id(classes), warmth, costs.cold_load_per_class_ms,
+           costs.restored_load_per_kib_ms, costs.cold_load_per_kib_ms)
+    hit = _TABLE_COST.get(key)
+    if hit is not None:
+        return hit[1]
+    cost = _load_cost(classes, set(), warmth, costs)
+    if _shared(classes):
+        _remember(_TABLE_COST, key, classes, cost)
+    return cost
 
 
 class ClassLoader:
@@ -57,31 +121,24 @@ class ClassLoader:
 
     def __init__(self, runtime: "JVMRuntime") -> None:
         self.runtime = runtime
-        self.loaded: Dict[str, LoadedClass] = {}
+        self.loaded: Set[str] = set()
 
-    def load_all(self, classes: List[SyntheticClass], jar_path: str) -> float:
+    def load_all(self, classes: Sequence[SyntheticClass], jar_path: str) -> float:
         """Load (and JIT) every not-yet-loaded class; return the cost in ms.
 
-        The per-byte cost splits into a parse/compile component that is
-        always paid and an I/O component scaled by how cold the jar's
-        pages are — warm page cache (e.g. right after a CRIU restore of
-        the jar mapping) skips it.
+        A table none of whose classes is loaded yet is priced from the
+        per-table memo; a partly loaded one class by class.
         """
         kernel = self.runtime.kernel
         costs = kernel.costs
         jar = kernel.fs.lookup(jar_path)
         warmth = kernel.page_cache.warmth(jar)
-        parse_per_kib = costs.restored_load_per_kib_ms
-        io_per_kib = max(0.0, costs.cold_load_per_kib_ms - parse_per_kib)
-        total_ms = 0.0
-        total_kib = 0.0
-        for cls in classes:
-            if cls.name in self.loaded:
-                continue
-            total_ms += costs.cold_load_per_class_ms
-            total_ms += cls.size_kib * (parse_per_kib + io_per_kib * (1.0 - warmth))
-            total_kib += cls.size_kib
-            self.loaded[cls.name] = LoadedClass(cls=cls, compiled=True)
+        names = table_names(classes)
+        if self.loaded.isdisjoint(names):
+            total_ms, total_kib = _table_load_cost(classes, warmth, costs)
+            self.loaded |= names
+        else:
+            total_ms, total_kib = _load_cost(classes, self.loaded, warmth, costs)
         if total_kib:
             # Reading the classfiles pulls the jar's pages into the cache
             # and the class metadata + JIT output into the metaspace.
@@ -103,8 +160,8 @@ class ClassLoader:
     def loaded_count(self) -> int:
         return len(self.loaded)
 
-    def all_loaded(self, classes: List[SyntheticClass]) -> bool:
-        return all(c.name in self.loaded for c in classes)
+    def all_loaded(self, classes: Sequence[SyntheticClass]) -> bool:
+        return table_names(classes) <= self.loaded
 
 
 class JVMRuntime(ManagedRuntime):
@@ -250,11 +307,10 @@ class JVMRuntime(ManagedRuntime):
         space = self.process.address_space
         self._heap_vma = space.find_by_label("java-heap")
         self._metaspace_vma = space.find_by_label("metaspace")
-        loaded_names = set(extra.get("loaded_class_names", ()))
+        loaded_names = extra.get("loaded_class_names", ())
         if self.app is not None and loaded_names:
-            for cls in self.app.classes:
-                if cls.name in loaded_names:
-                    self.classloader.loaded[cls.name] = LoadedClass(cls=cls, compiled=True)
+            self.classloader.loaded |= table_names(self.app.classes).intersection(
+                loaded_names)
 
     # -- introspection ------------------------------------------------------------------
 

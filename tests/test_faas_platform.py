@@ -256,3 +256,44 @@ class TestReplicaIds:
         reset_replica_ids()
         assert next_replica_id(k1) == 1
         assert next_replica_id(k2) == 1
+
+
+class TestLayerPullAccounting:
+    """``deployer_layer_bytes_*`` split a prebake provision's snapshot
+    layers into bytes pulled and bytes the node cache already held,
+    measured before the restore admits them."""
+
+    def _pull(self, cache_policy):
+        world = make_world(seed=5, observe=True)
+        platform = FaaSPlatform(world.kernel, PlatformConfig(nodes=1))
+        metadata = platform.register_function(
+            MarkdownFunction, start_technique="prebake",
+            cache_policy=cache_policy)
+        deployer = platform.deployer
+        refs = deployer.prebake_manager.store.layered(
+            deployer._snapshot_key(metadata)).chunk_refs
+        metrics = world.kernel.obs.metrics
+        labels = {"function": "markdown"}
+        split = []
+        for _ in range(2):
+            before = [metrics.value(f"deployer_layer_bytes_{kind}_total",
+                                    labels) for kind in ("pulled", "cached")]
+            deployer.provision("markdown")
+            split.append(tuple(
+                metrics.value(f"deployer_layer_bytes_{kind}_total",
+                              labels) - old
+                for kind, old in zip(("pulled", "cached"), before)))
+        return refs, split
+
+    @pytest.mark.parametrize("cache_policy", [None, "lru", "freq-over-size"])
+    def test_first_provision_pulls_second_hits(self, cache_policy):
+        refs, (first, second) = self._pull(cache_policy)
+        total = sum(ref.size_bytes for ref in refs)
+        distinct = sum({ref.chunk_id: ref.size_bytes
+                        for ref in refs}.values())
+        assert 0 < distinct <= total
+        # A fresh node pulls every distinct chunk once; repeats within
+        # the image are already there.
+        assert first == (distinct, total - distinct)
+        # The same node now holds every chunk.
+        assert second == (0, total)
