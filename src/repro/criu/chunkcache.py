@@ -70,9 +70,7 @@ class HotChunkCache:
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
                  policy: str = FREQ_OVER_SIZE) -> None:
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown cache policy {policy!r}; known: {POLICIES}")
+        _check_policy(policy)
         if capacity_bytes <= 0:
             raise ValueError(
                 f"capacity_bytes must be positive, got {capacity_bytes}")
@@ -194,10 +192,27 @@ class HotChunkCache:
             del self._freq[cid]
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ValueError(
+            f"unknown cache policy {policy!r}; known: {POLICIES}")
+
+
+def cache_enabled(policy: Optional[str]) -> bool:
+    """Whether a knob value turns a cache on (None/"none"/"off" do not).
+
+    An unknown policy raises ``ValueError``, as building its cache would.
+    """
+    if policy is None or policy in ("none", "off", ""):
+        return False
+    _check_policy(policy)
+    return True
+
+
 def make_cache(policy: Optional[str],
                capacity_bytes: int = DEFAULT_CAPACITY_BYTES
                ) -> Optional[HotChunkCache]:
     """Build a cache from a knob value (None/"none"/"off" -> no cache)."""
-    if policy is None or policy in ("none", "off", ""):
+    if not cache_enabled(policy):
         return None
     return HotChunkCache(capacity_bytes=capacity_bytes, policy=policy)

@@ -27,6 +27,8 @@ _LEAF_TYPES = (str, int, float, bool)
 _IMMUTABLE_LEAVES = frozenset({str, int, float, bool, type(None)})
 _MAX_DEPTH = 12
 _encode_str = json.encoder.encode_basestring_ascii
+# ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 # Text of deeply immutable tuples (the shared class tables), keyed by
 # (id, depth). Each entry holds the tuple itself, so its id cannot be
@@ -34,6 +36,12 @@ _encode_str = json.encoder.encode_basestring_ascii
 _TUPLE_TEXT: Dict[Tuple[int, int], Tuple[tuple, str]] = {}
 _TUPLE_TEXT_MIN_LEN = 16
 _TUPLE_TEXT_MAX = 256
+# The same for deeply immutable frozen dataclass instances (an app's
+# FunctionCosts, say). Kept apart from _TUPLE_TEXT: encoding one class
+# table fills this memo with thousands of SyntheticClass entries, which
+# would otherwise clear the table texts over and over.
+_FROZEN_TEXT: Dict[Tuple[int, int], Tuple[Any, str]] = {}
+_FROZEN_TEXT_MAX = 256
 
 
 def _leaf(obj: Any) -> str:
@@ -42,12 +50,21 @@ def _leaf(obj: Any) -> str:
         return _encode_str(obj)
     if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
         return repr(obj)
-    return json.dumps(obj)  # None, bools, NaN/inf, int and float subclasses
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return json.dumps(obj)  # None, NaN/inf, int and float subclasses
 
 
 def _object(fields: Dict[str, str]) -> str:
     return "{%s}" % ", ".join(f"{_encode_str(k)}: {v}"
                               for k, v in sorted(fields.items()))
+
+
+def _frozen_dataclass(kind: type) -> bool:
+    params = getattr(kind, "__dataclass_params__", None)
+    return params is not None and params.frozen
 
 
 def _immutable(obj: Any) -> bool:
@@ -58,10 +75,18 @@ def _immutable(obj: Any) -> bool:
         return True
     if kind is tuple:
         return all(_immutable(v) for v in obj)
-    params = getattr(kind, "__dataclass_params__", None)
     attrs = getattr(obj, "__dict__", None)
-    return (params is not None and params.frozen and attrs is not None
+    return (_frozen_dataclass(kind) and attrs is not None
             and all(_immutable(v) for v in attrs.values()))
+
+
+def _remember(memo: Dict[Tuple[int, int], Tuple[Any, str]], limit: int,
+              obj: Any, depth: int, text: str) -> None:
+    """Keep ``obj``'s text if its projection can never change."""
+    if _immutable(obj):
+        if len(memo) >= limit:
+            memo.clear()
+        memo[(id(obj), depth)] = (obj, text)
 
 
 def canonical_json(obj: Any, _depth: int = 0) -> str:
@@ -73,7 +98,8 @@ def canonical_json(obj: Any, _depth: int = 0) -> str:
     keys as strings, sets in ``str`` order, and anything nested deeper
     than 12 levels as a depth-capped marker. The text is byte-for-byte
     ``json.dumps(projection, sort_keys=True)``, produced without
-    building the projection; deeply immutable tuples are encoded once.
+    building the projection; deeply immutable tuples and frozen
+    dataclass instances are encoded once.
     """
     if _depth > _MAX_DEPTH:
         return _encode_str(f"<depth-capped {type(obj).__name__}>")
@@ -90,16 +116,22 @@ def canonical_json(obj: Any, _depth: int = 0) -> str:
                 return hit[1]
         items = sorted(obj, key=str) if isinstance(obj, (set, frozenset)) else obj
         text = "[%s]" % ", ".join(canonical_json(v, _depth + 1) for v in items)
-        if cacheable and _immutable(obj):
-            if len(_TUPLE_TEXT) >= _TUPLE_TEXT_MAX:
-                _TUPLE_TEXT.clear()
-            _TUPLE_TEXT[(id(obj), _depth)] = (obj, text)
+        if cacheable:
+            _remember(_TUPLE_TEXT, _TUPLE_TEXT_MAX, obj, _depth, text)
         return text
     attrs = getattr(obj, "__dict__", None)
     if attrs is not None:
+        frozen = _frozen_dataclass(type(obj))
+        if frozen:
+            hit = _FROZEN_TEXT.get((id(obj), _depth))
+            if hit is not None:
+                return hit[1]
         fields = {k: canonical_json(v, _depth + 1) for k, v in attrs.items()}
         fields["__class__"] = _encode_str(type(obj).__name__)
-        return _object(fields)
+        text = _object(fields)
+        if frozen:
+            _remember(_FROZEN_TEXT, _FROZEN_TEXT_MAX, obj, _depth, text)
+        return text
     return _encode_str(f"<{type(obj).__name__}>")
 
 
@@ -114,10 +146,10 @@ class VMADescriptor:
 
     Frozen, with tuple page lists, so what a restore derives from its
     pages is computed once per descriptor and cached on it: the index
-    and interned tag-id arrays, the full-length pagemap the transmute
-    copies into each restored mapping, and the JSON text the image
-    digests hash. ``dataclasses.replace`` (tamper, repair) builds a
-    fresh instance with empty caches.
+    and interned tag-id arrays, the outcome of the structure checks,
+    the full-length pagemap each restored mapping maps copy-on-write,
+    and the JSON text the image digests hash. ``dataclasses.replace``
+    (tamper, repair) builds a fresh instance with empty caches.
     """
 
     start: int
@@ -154,11 +186,37 @@ class VMADescriptor:
         return _read_only(TAGS.intern_many(self.content_tags))
 
     @functools.cached_property
+    def checked_indices(self) -> np.ndarray:
+        """:attr:`index_array`, once :meth:`CheckpointImage.validate`'s
+        per-VMA checks pass: indices and tags in sync, no more resident
+        pages than the mapping holds, indices strictly increasing and
+        in range.
+
+        Cached, so the checks run once per descriptor; a malformed
+        descriptor raises ``ValueError`` on every access (a raising
+        ``cached_property`` caches nothing).
+        """
+        if len(self.resident_indices) != len(self.content_tags):
+            raise ValueError(
+                f"VMA {self.label!r}: resident indices and tags out of sync")
+        if self.resident_pages * PAGE_SIZE > self.length:
+            raise ValueError(
+                f"VMA {self.label!r}: more resident pages than the mapping holds")
+        indices = self.index_array
+        if len(indices) and (
+                indices[0] < 0 or indices[-1] >= self.length // PAGE_SIZE
+                or bool((indices[1:] <= indices[:-1]).any())):
+            raise ValueError(
+                f"VMA {self.label!r}: resident indices must be strictly "
+                f"increasing within [0, {self.length // PAGE_SIZE})")
+        return indices
+
+    @functools.cached_property
     def pagemap(self) -> Pagemap:
         """Read-only (resident mask, tag ids) over every page of the
-        mapping; building it range-checks the resident indices."""
+        mapping, built from :attr:`checked_indices`."""
         return pagemap_arrays(-(-self.length // PAGE_SIZE),
-                              self.index_array, self.tag_ids)
+                              self.checked_indices, self.tag_ids)
 
     @functools.cached_property
     def digest_text(self) -> Tuple[bytes, int]:
@@ -273,15 +331,14 @@ class CheckpointImage:
         """
         return self._digest(pages=False)
 
-    def _digest(self, pages: bool) -> str:
-        """SHA-256 of ``json.dumps(payload, sort_keys=True)``, streamed.
+    def _texts(self) -> Tuple[str, str, str]:
+        """(head, runtime state, tail): the digest payload's JSON parts
+        an image can change in place, encoded from its current fields.
 
-        The payload is read from the image's current fields on every
-        call; only the immutable parts' text comes from caches (each
-        descriptor's :attr:`VMADescriptor.digest_text`, the shared
-        class tables in :func:`canonical_json`).
+        The head is identity, fds and file sizes; the tail is ``warm``.
+        Everything else is the descriptors' cached text.
         """
-        head = json.dumps({
+        head = _dumps_sorted({
             "pid": self.pid,
             "comm": self.comm,
             "argv": self.argv,
@@ -291,13 +348,27 @@ class CheckpointImage:
                 for f in self.fds
             ],
             "files": {name: f.size_bytes for name, f in self.files.items()},
-        }, sort_keys=True)
+        })
+        return (head, canonical_json(self.runtime_state),
+                f'], "warm": {_leaf(self.warm)}}}')
+
+    def _digest(self, pages: bool, texts: Optional[Tuple[str, str, str]] = None,
+                vmas: Optional[Tuple[VMADescriptor, ...]] = None) -> str:
+        """SHA-256 of ``json.dumps(payload, sort_keys=True)``, streamed.
+
+        The payload is read from the image's current fields (``texts``
+        and ``vmas`` default to :meth:`_texts` and :attr:`vmas`); only
+        the immutable parts' text comes from caches (each descriptor's
+        :attr:`VMADescriptor.digest_text`, the shared class tables and
+        frozen instances in :func:`canonical_json`).
+        """
+        head, runtime, tail = texts if texts is not None else self._texts()
         # Sorted payload keys: the head's, then runtime_state, vmas, warm.
         sha = hashlib.sha256(head[:-1].encode("ascii"))
         sha.update(b', "runtime_state": ')
-        sha.update(canonical_json(self.runtime_state).encode("ascii"))
+        sha.update(runtime.encode("ascii"))
         sha.update(b', "vmas": [')
-        for position, vma in enumerate(self.vmas):
+        for position, vma in enumerate(self.vmas if vmas is None else vmas):
             if position:
                 sha.update(b", ")
             text, meta_len = vma.digest_text
@@ -306,7 +377,7 @@ class CheckpointImage:
             else:
                 sha.update(memoryview(text)[:meta_len])
                 sha.update(b"]")
-        sha.update(f'], "warm": {json.dumps(self.warm)}}}'.encode("ascii"))
+        sha.update(tail.encode("ascii"))
         return sha.hexdigest()
 
     def seal(self) -> str:
@@ -321,16 +392,31 @@ class CheckpointImage:
         Unsealed images (hand-built in tests, pre-digest dumps) pass
         trivially; a sealed image whose contents drifted raises
         :class:`SnapshotCorrupted`.
+
+        The head, runtime-state and ``warm`` text are re-encoded on
+        every call. The hash is skipped only when the last successful
+        verification saw the same sealed digest, equal text and the
+        very same (frozen) descriptor objects, in order, so it would
+        run over identical bytes. A failure is never remembered.
         """
         if self.digest is None:
             return
-        actual = self.compute_digest()
+        texts, vmas = self._texts(), tuple(self.vmas)
+        last = self.__dict__.get("_verified")
+        if (last is not None and last[0] == self.digest and last[1] == texts
+                and len(last[2]) == len(vmas)
+                and all(a is b for a, b in zip(last[2], vmas))):
+            return
+        actual = self._digest(pages=True, texts=texts, vmas=vmas)
         if actual != self.digest:
+            self.__dict__.pop("_verified", None)
             raise SnapshotCorrupted(
                 f"image {self.image_id!r} failed integrity verification: "
                 f"digest {actual[:12]}... != sealed {self.digest[:12]}...",
                 image_id=self.image_id,
             )
+        # Holding the descriptors keeps their ids from being reused.
+        self.__dict__["_verified"] = (self.digest, texts, vmas)
 
     def tamper(self, pages: int = 1, first_page: int = 0) -> None:
         """Corrupt the dumped page contents in place (fault injection).
@@ -371,22 +457,7 @@ class CheckpointImage:
                 f"{self.pages_bytes}"
             )
         for vma in self.vmas:
-            if len(vma.resident_indices) != len(vma.content_tags):
-                raise ValueError(
-                    f"VMA {vma.label!r}: resident indices and tags out of sync"
-                )
-            if vma.resident_pages * PAGE_SIZE > vma.length:
-                raise ValueError(
-                    f"VMA {vma.label!r}: more resident pages than the mapping holds"
-                )
-            indices = vma.index_array
-            if len(indices) and (
-                    indices[0] < 0 or indices[-1] >= vma.length // PAGE_SIZE
-                    or bool((indices[1:] <= indices[:-1]).any())):
-                raise ValueError(
-                    f"VMA {vma.label!r}: resident indices must be strictly "
-                    f"increasing within [0, {vma.length // PAGE_SIZE})"
-                )
+            vma.checked_indices  # the per-VMA checks, cached once they pass
 
 
 def build_image_files(image: CheckpointImage) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +130,21 @@ class SnapshotLayer:
         return self.page_count * PAGE_SIZE
 
 
+class ChunkColumns(NamedTuple):
+    """Chunk ids and byte sizes of a snapshot's windows, in order, plus
+    the total and the distinct ``(chunk id, size)`` pairs in first-seen
+    order (a chunk repeated within an image is pulled once)."""
+
+    ids: Tuple[str, ...]
+    sizes: Tuple[int, ...]
+    total_bytes: int
+    distinct: Tuple[Tuple[str, int], ...]
+
+    @classmethod
+    def of(cls, ids: Tuple[str, ...], sizes: Tuple[int, ...]) -> "ChunkColumns":
+        return cls(ids, sizes, sum(sizes), tuple(dict(zip(ids, sizes)).items()))
+
+
 @dataclass
 class LayeredImage:
     """A snapshot decomposed into content-addressed layers."""
@@ -164,6 +179,24 @@ class LayeredImage:
     @property
     def chunk_ids(self) -> List[str]:
         return [ref.chunk_id for ref in self.chunk_refs]
+
+    def chunk_columns(self) -> ChunkColumns:
+        """The manifest's chunk refs as columns, memoized.
+
+        Keyed on the layers' ``chunk_refs`` tuples it was built from
+        (compared by identity), so replacing a layer or its refs
+        rebuilds it.
+        """
+        key = tuple(layer.chunk_refs for layer in self.layers)
+        cached = self.__dict__.get("_columns")
+        if cached is not None and len(cached[0]) == len(key) and all(
+                a is b for a, b in zip(cached[0], key)):
+            return cached[1]
+        refs = [ref for refs in key for ref in refs]
+        columns = ChunkColumns.of(tuple(ref.chunk_id for ref in refs),
+                                  tuple(ref.size_bytes for ref in refs))
+        self.__dict__["_columns"] = (key, columns)
+        return columns
 
     @property
     def logical_bytes(self) -> int:
@@ -339,6 +372,23 @@ def image_chunk_index(
     )
     image.__dict__["_chunk_index_cache"] = ((generation, chunk_pages), index)
     return index
+
+
+def image_chunk_columns(image: CheckpointImage,
+                        chunk_pages: int = CHUNK_PAGES) -> ChunkColumns:
+    """:func:`image_chunk_index` as columns, memoized on the image.
+
+    Keyed on the index tuple it was built from (by identity), so it is
+    rebuilt whenever the index is.
+    """
+    index = image_chunk_index(image, chunk_pages)
+    cached = image.__dict__.get("_chunk_columns")
+    if cached is not None and cached[0] is index:
+        return cached[1]
+    columns = ChunkColumns.of(tuple(cid for _, _, cid, _ in index),
+                              tuple(size for _, _, _, size in index))
+    image.__dict__["_chunk_columns"] = (index, columns)
+    return columns
 
 
 def image_chunk_count(image: CheckpointImage,

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 from repro import faults, obs
 from repro.criu.chunkcache import HotChunkCache, make_cache
 from repro.criu.images import CheckpointImage
-from repro.criu.pagestore import image_chunk_count, image_chunk_index
+from repro.criu.pagestore import image_chunk_columns, image_chunk_count
 from repro.criu.workingset import WorkingSetRecord, WorkingSetTracker
 from repro.faults.errors import RestoreFailed, SnapshotCorrupted
 from repro.obs.profile import (
@@ -322,15 +322,16 @@ class RestoreEngine:
         cache = self.chunk_cache
         if cache is None:
             return 0.0
-        hits = hit_bytes = total_bytes = 0
-        index = image_chunk_index(image)
-        for _vma_index, _window_start, cid, size_bytes in index:
-            total_bytes += size_bytes
-            if cache.lookup(cid, size_bytes):
+        hits = hit_bytes = 0
+        columns = image_chunk_columns(image)
+        lookup = cache.lookup
+        for cid, size_bytes in zip(columns.ids, columns.sizes):
+            if lookup(cid, size_bytes):
                 hits += 1
                 hit_bytes += size_bytes
+        total_bytes = columns.total_bytes
         cached_fraction = hit_bytes / total_bytes if total_bytes else 0.0
-        self._record_cache_pass(image, len(index), hits, cached_fraction)
+        self._record_cache_pass(image, len(columns.ids), hits, cached_fraction)
         return cached_fraction
 
     def _record_cache_pass(self, image: CheckpointImage, lookups: int,

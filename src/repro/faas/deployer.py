@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.manager import PrebakeManager
 from repro.core.store import SnapshotKey
-from repro.criu.chunkcache import HotChunkCache, make_cache
+from repro.criu.chunkcache import HotChunkCache, cache_enabled
 from repro.criu.pagestore import LayeredImage
 from repro.faas.registry import FunctionMetadata, FunctionRegistry
 from repro.faas.replica import FunctionReplica, ReplicaState
@@ -158,7 +158,7 @@ class FunctionDeployer:
         """
         if metadata.start_technique != "prebake":
             return None
-        if make_cache(metadata.cache_policy) is None:
+        if not cache_enabled(metadata.cache_policy):
             return None
         cache = self._node_chunk_cache.get(node_name)
         if cache is None:
@@ -266,14 +266,11 @@ class FunctionDeployer:
             self._snapshot_key(metadata))
         if layered is None:
             return None
-        refs = layered.chunk_refs
-        distinct = {ref.chunk_id: ref.size_bytes for ref in refs}
+        columns = layered.chunk_columns()
         cache = self._node_chunk_cache.get(node_name)
-        if cache is not None:
-            distinct = {cid: size for cid, size in distinct.items()
-                        if not cache.contains(cid)}
-        pulled = sum(distinct.values())
-        return layered, pulled, sum(ref.size_bytes for ref in refs) - pulled
+        pulled = sum(size for cid, size in columns.distinct
+                     if cache is None or not cache.contains(cid))
+        return layered, pulled, columns.total_bytes - pulled
 
     def _account_layer_pull(self, function: str, node_name: str,
                             layered: LayeredImage, pulled: int,
@@ -286,9 +283,11 @@ class FunctionDeployer:
         feed the chunk-heat sketch.
         """
         cache = self.node_cache(node_name)
-        for ref in layered.chunk_refs:
-            self.chunk_sketch.offer(ref.chunk_id)
-            cache.lookup(ref.chunk_id, ref.size_bytes)
+        columns = layered.chunk_columns()
+        offer, lookup = self.chunk_sketch.offer, cache.lookup
+        for cid, size in zip(columns.ids, columns.sizes):
+            offer(cid)
+            lookup(cid, size)
         labels = {"function": function}
         obs.count(self.kernel, "deployer_layer_bytes_pulled_total",
                   value=float(pulled), labels=labels)

@@ -128,7 +128,7 @@ def pagemap_arrays(page_count: int, indices: np.ndarray,
     ``indices`` (unique) are resident with the interned ``tag_ids``.
 
     Equal to what ``populate_pages(indices, tag_ids)`` leaves in a fresh
-    mapping; :meth:`AddressSpace.mmap` copies it into a new VMA.
+    mapping; :meth:`AddressSpace.mmap` maps it copy-on-write.
     """
     if len(indices) and (int(indices.min()) < 0
                          or int(indices.max()) >= page_count):
@@ -142,6 +142,33 @@ def pagemap_arrays(page_count: int, indices: np.ndarray,
     resident.flags.writeable = False
     tags.flags.writeable = False
     return resident, tags
+
+
+# Read-only all-False buffer whose prefixes are the ``dirty`` bits of
+# freshly restored mappings; grown to the largest mapping seen.
+_CLEAN = np.zeros(0, dtype=bool)
+
+
+def _clean(page_count: int) -> np.ndarray:
+    """A shared read-only all-False array of ``page_count`` entries."""
+    global _CLEAN
+    if len(_CLEAN) < page_count:
+        _CLEAN = np.zeros(page_count, dtype=bool)
+        _CLEAN.flags.writeable = False
+    return _CLEAN[:page_count]
+
+
+def _owned(array: np.ndarray) -> np.ndarray:
+    """``array`` if this mapping may write it, else a private copy."""
+    return array if array.flags.writeable else array.copy()
+
+
+def _shared(array: np.ndarray) -> np.ndarray:
+    """``array`` if it is read-only, else a read-only copy of it."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 class VMAKind(Enum):
@@ -242,8 +269,19 @@ class VMA(_VMABase):
     content tags are interned ids into :data:`TAGS`. All the bulk
     operations (:meth:`touch_range`, :meth:`dump_pages`,
     :meth:`populate_pages`, :meth:`clear_soft_dirty`) are single
-    vectorized passes. A ``pagemap`` (see :func:`pagemap_arrays`) is
-    copied in as clean resident pages, as a restore maps them.
+    vectorized passes.
+
+    A ``pagemap`` (see :func:`pagemap_arrays`) is mapped copy-on-write,
+    as a restore maps a snapshot's memory privately: the mapping keeps
+    the pagemap's read-only resident and tag arrays, uses the resident
+    mask as its soft-dirty bits and a shared all-False array as its
+    dirty bits. :meth:`touch`, :meth:`touch_range` and
+    :meth:`populate_pages` first take a private copy of each array
+    they write that is still shared, and :meth:`clear_soft_dirty`
+    swaps a shared soft-dirty array for the shared all-False one. A
+    mapping nobody writes costs no copy, and a writer that skipped the
+    copy would raise (the shared arrays are read-only) rather than
+    change the snapshot.
     """
 
     __slots__ = ("start", "length", "kind", "prot", "file_path",
@@ -267,15 +305,17 @@ class VMA(_VMABase):
             self._resident = np.zeros(n, dtype=bool)
             self._tag_ids = np.zeros(n, dtype=np.int32)
             self._resident_count = 0
+            self._dirty = np.zeros(n, dtype=bool)
+            self._soft = np.zeros(n, dtype=bool)
         else:
             self._check_pagemap(pagemap)
-            self._resident = pagemap[0].copy()
-            self._tag_ids = pagemap[1].copy()
+            self._resident = _shared(pagemap[0])
+            self._tag_ids = _shared(pagemap[1])
             self._resident_count = int(np.count_nonzero(self._resident))
-        # Restored pages are clean but soft-dirty, like populate_pages
-        # with dirty=False leaves them.
-        self._dirty = np.zeros(n, dtype=bool)
-        self._soft = self._resident.copy()
+            # Restored pages are clean but soft-dirty, like
+            # populate_pages with dirty=False leaves them.
+            self._dirty = _clean(n)
+            self._soft = self._resident
 
     # -- residency -----------------------------------------------------------
 
@@ -291,14 +331,20 @@ class VMA(_VMABase):
             )
         if self._resident[page_index]:
             if dirty:
+                self._dirty = _owned(self._dirty)
                 self._dirty[page_index] = True
             if content_tag:
+                self._tag_ids = _owned(self._tag_ids)
                 self._tag_ids[page_index] = TAGS.intern(content_tag)
         else:
+            self._resident = _owned(self._resident)
+            self._dirty = _owned(self._dirty)
+            self._tag_ids = _owned(self._tag_ids)
             self._resident[page_index] = True
             self._dirty[page_index] = dirty
             self._tag_ids[page_index] = TAGS.intern(content_tag)
             self._resident_count += 1
+        self._soft = _owned(self._soft)
         self._soft[page_index] = True
         return Page(
             index=page_index,
@@ -320,10 +366,15 @@ class VMA(_VMABase):
         resident = self._resident[window]
         newly = count - int(resident.sum())
         if content_tag:
+            self._tag_ids = _owned(self._tag_ids)
             self._tag_ids[window] = TAGS.intern(content_tag)
         # Empty tag: new pages keep tag id 0 (already zeroed), existing
         # pages keep their tag — nothing to write either way.
-        self._resident[window] = True
+        if newly:
+            self._resident = _owned(self._resident)
+            self._resident[window] = True
+        self._dirty = _owned(self._dirty)
+        self._soft = _owned(self._soft)
         self._dirty[window] = True
         self._soft[window] = True
         self._resident_count += newly
@@ -346,9 +397,13 @@ class VMA(_VMABase):
             )
         ids = tags if isinstance(tags, np.ndarray) else TAGS.intern_many(tags)
         was_resident = self._resident[idx]
+        self._resident = _owned(self._resident)
+        self._tag_ids = _owned(self._tag_ids)
+        self._soft = _owned(self._soft)
         self._resident[idx] = True
         self._resident_count += count - int(was_resident.sum())
         if dirty:
+            self._dirty = _owned(self._dirty)
             self._dirty[idx] = True
         # A non-empty tag always lands; an empty tag only initializes
         # newly resident pages (which hold id 0 already) — matching the
@@ -388,7 +443,10 @@ class VMA(_VMABase):
         return np.nonzero(mask)[0]
 
     def clear_soft_dirty(self) -> None:
-        self._soft[:] = False
+        if self._soft.flags.writeable:
+            self._soft[:] = False
+        else:
+            self._soft = _clean(self.page_count)
 
     def iter_pages(self) -> Iterator[Page]:
         """Yield resident pages in index order (snapshots)."""
@@ -566,7 +624,7 @@ class AddressSpace:
 
         ``pagemap`` (see :func:`pagemap_arrays`) makes the mapping start
         with those pages resident, clean and soft-dirty: how a restore
-        maps a dumped VMA in one copy instead of a per-page scatter.
+        maps a dumped VMA, copy-on-write, instead of a per-page scatter.
         """
         length = -(-length // PAGE_SIZE) * PAGE_SIZE  # round up to page multiple
         if start is None:

@@ -169,6 +169,39 @@ class TestResidentIndexValidation:
         make_image(vmas=[good]).validate()
 
 
+class TestPerDescriptorValidation:
+    """validate()'s per-VMA checks run once per frozen descriptor."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(content_tags=("a",)), "out of sync"),
+        (dict(length=PAGE_SIZE), "more resident pages"),
+        (dict(resident_indices=(1, 0)), "strictly increasing"),
+        (dict(resident_indices=(0, 8)), "strictly increasing"),
+    ])
+    def test_malformed_descriptor_raises_on_every_call(self, edit, message):
+        bad = replace(make_vma(resident=2), **edit)
+        image = make_image(vmas=[make_vma(label="ok"), bad])
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                image.validate()
+        # A check that raised left nothing cached on the descriptor.
+        assert "checked_indices" not in bad.__dict__
+
+    def test_checks_pass_once_per_descriptor(self):
+        vma = make_vma()
+        first = make_image(vmas=[vma])
+        first.validate()
+        checked = vma.__dict__["checked_indices"]
+        # Another image sharing the descriptor reuses the outcome; the
+        # image-level checks still run on every call.
+        second = make_image(vmas=[vma])
+        second.validate()
+        assert vma.checked_indices is checked
+        second.files["pages-1.img"] = ImageFile("pages-1.img", 1)
+        with pytest.raises(ValueError, match="pages-1.img size"):
+            second.validate()
+
+
 class TestDescriptors:
     def test_fd_descriptor_fields(self):
         fd = FdDescriptor(fd=3, path="/jar", offset=10, flags="r",

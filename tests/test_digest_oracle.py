@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 from repro import make_world
 from repro.core.bake import Prebaker
 from repro.core.policy import AfterReady, AfterWarmup
-from repro.criu.images import _TUPLE_TEXT_MIN_LEN, canonical_json
+from repro.criu.images import (
+    _TUPLE_TEXT,
+    _TUPLE_TEXT_MAX,
+    _TUPLE_TEXT_MIN_LEN,
+    canonical_json,
+)
 from repro.criu.serialize import deserialize_image, serialize_image
 from repro.functions.base import make_app, registered_names
 from tests.digest_oracle import reference_digest, reference_json
@@ -56,6 +61,11 @@ class TestRegisteredFunctions:
 class FrozenLeaf:
     name: str
     weight: float
+
+
+@dataclass(frozen=True)
+class FrozenBox:
+    items: list
 
 
 @dataclass
@@ -132,6 +142,28 @@ class TestCanonicalJson:
         assert canonical_json(state) == reference_json(state)
         inner.append(3)
         assert canonical_json(state) == reference_json(state)
+
+    def test_frozen_instance_with_a_mutable_member_is_re_encoded(self):
+        box = FrozenBox([1])
+        state = {"box": box, "again": [box]}
+        assert canonical_json(state) == reference_json(state)
+        box.items.append(2)
+        assert canonical_json(state) == reference_json(state)
+
+    def test_shared_frozen_instance_at_many_depths(self):
+        leaf = FrozenLeaf("c", 1 / 3)
+        state = {str(depth): _nest(depth, leaf) for depth in range(8, 16)}
+        for _ in range(2):
+            assert canonical_json(state) == reference_json(state)
+
+    def test_frozen_instances_do_not_evict_table_text(self):
+        table = tuple(FrozenLeaf(f"t{i}", float(i)) for i in range(40))
+        canonical_json({"table": table})
+        assert (id(table), 1) in _TUPLE_TEXT
+        # Far more frozen instances than either memo holds.
+        many = [FrozenLeaf(f"m{i}", float(i)) for i in range(3 * _TUPLE_TEXT_MAX)]
+        canonical_json({"many": many})
+        assert (id(table), 1) in _TUPLE_TEXT
 
     def test_non_finite_and_non_ascii(self):
         state = {"nan": math.nan, "inf": [math.inf, -math.inf],

@@ -23,6 +23,8 @@ from repro.criu.pagestore import (
     PageStore,
     RUNTIME_BASE_LAYER,
     WARM_DELTA_LAYER,
+    image_chunk_columns,
+    image_chunk_index,
     layer_image,
     rebuild_vma_pages,
 )
@@ -130,6 +132,29 @@ class TestPageStore:
         expected = {i: (v.resident_indices, v.content_tags)
                     for i, v in enumerate(image.vmas)}
         assert rebuilt == expected
+
+    def test_chunk_columns_follow_their_sources(self, kernel):
+        image = dump_process(kernel, 1.0)
+        layered = layer_image(image, PageStore())
+        for columns, refs in ((image_chunk_columns(image),
+                               [(cid, size) for _, _, cid, size
+                                in image_chunk_index(image)]),
+                              (layered.chunk_columns(),
+                               [(r.chunk_id, r.size_bytes)
+                                for r in layered.chunk_refs])):
+            assert list(zip(columns.ids, columns.sizes)) == refs
+            assert columns.total_bytes == image.pages_bytes
+            assert columns.distinct == tuple(dict(refs).items())
+        assert image_chunk_columns(image) is image_chunk_columns(image)
+        assert layered.chunk_columns() is layered.chunk_columns()
+        # A tampered image re-indexes; a replaced layer re-columns.
+        image.tamper(pages=CHUNK_PAGES)
+        assert image_chunk_columns(image).ids == tuple(
+            cid for _, _, cid, _ in image_chunk_index(image))
+        assert image_chunk_columns(image).ids[0] != layered.chunk_columns().ids[0]
+        first = layered.layers[0]
+        first.chunk_refs = first.chunk_refs[1:]
+        assert layered.chunk_columns().ids == tuple(layered.chunk_ids)
 
     def test_page_content_key_is_stable(self):
         assert page_content_key("x") == page_content_key("x")

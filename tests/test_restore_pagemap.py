@@ -1,12 +1,15 @@
-"""Restored mappings copied from their descriptors' pagemaps.
+"""Restored mappings mapped from their descriptors' pagemaps.
 
 A restore maps each dumped VMA with ``AddressSpace.mmap(...,
-pagemap=desc.pagemap)``: a copy of a full-length resident mask and
-tag-id array built once per frozen descriptor. These tests pin that
-copy to the per-page path it replaced, ``populate_pages(index_array,
-tag_ids, dirty=False)`` on a fresh mapping, under both pagemap
-backends, and round-trip restore → dump → restore.
+pagemap=desc.pagemap)``: a full-length resident mask and tag-id array
+built once per frozen descriptor, which the fast backend maps
+copy-on-write. These tests pin that mapping to the per-page path it
+replaced, ``populate_pages(index_array, tag_ids, dirty=False)`` on a
+fresh mapping, under both pagemap backends, check that no writer ever
+changes the shared arrays, and round-trip restore → dump → restore.
 """
+
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -35,11 +38,24 @@ from repro.osproc.memory import (
 )
 from tests.test_pagemap_equivalence import PAGES, _apply, _observe, _ops
 
+_TAGS = ["", "a", "b", "heap:x", "text:/bin/app"]
 _pages = st.dictionaries(
-    st.integers(0, PAGES - 1),
-    st.sampled_from(["", "a", "b", "heap:x", "text:/bin/app"]),
-    max_size=PAGES,
-)
+    st.integers(0, PAGES - 1), st.sampled_from(_TAGS), max_size=PAGES)
+
+# Every pagemap writer: touch, touch_range and clear_soft_dirty from the
+# equivalence suite, plus populate_pages.
+_writes = st.one_of(_ops, st.tuples(
+    st.just("populate"),
+    st.lists(st.integers(0, PAGES - 1), unique=True, max_size=8),
+    st.sampled_from(_TAGS), st.booleans()))
+
+
+def _write(vma, op):
+    if op[0] == "populate":
+        _, indices, tag, dirty = op
+        vma.populate_pages(indices, [tag] * len(indices), dirty=dirty)
+    else:
+        _apply(vma, op)
 
 
 def _arrays(pages):
@@ -56,30 +72,65 @@ def _descriptor(pages, length=PAGES * PAGE_SIZE):
 
 
 class TestCopiedPagemap:
-    @given(pages=_pages, ops=st.lists(_ops, max_size=20))
+    @given(pages=_pages, ops=st.lists(_writes, max_size=20),
+           others=st.lists(_writes, max_size=20))
     @settings(max_examples=120, deadline=None)
-    def test_copy_equals_populate(self, pages, ops):
+    def test_copy_equals_populate(self, pages, ops, others):
         indices, ids = _arrays(pages)
         pagemap = pagemap_arrays(PAGES, indices, ids)
+        before = [array.copy() for array in pagemap]
         for backend in (VMA, SlowVMA):
-            copied = backend(start=0, length=PAGES * PAGE_SIZE,
-                             kind=VMAKind.ANON, pagemap=pagemap)
-            populated = backend(start=0, length=PAGES * PAGE_SIZE,
-                                kind=VMAKind.ANON)
-            populated.populate_pages(indices, ids, dirty=False)
-            assert _observe(copied) == _observe(populated)
+            mapped = [backend(start=0, length=PAGES * PAGE_SIZE,
+                              kind=VMAKind.ANON, pagemap=pagemap)
+                      for _ in range(2)]
+            populated = [backend(start=0, length=PAGES * PAGE_SIZE,
+                                 kind=VMAKind.ANON) for _ in range(2)]
+            for vma in populated:
+                vma.populate_pages(indices, ids, dirty=False)
+            assert _observe(mapped[0]) == _observe(populated[0])
             if backend is VMA:
                 for name in ("_resident", "_dirty", "_soft", "_tag_ids"):
-                    assert np.array_equal(getattr(copied, name),
-                                          getattr(populated, name)), name
-                    assert getattr(copied, name).flags.writeable
-            # Later touches and soft-dirty clears evolve both alike.
-            for op in ops:
-                _apply(copied, op)
-                _apply(populated, op)
-            assert _observe(copied) == _observe(populated)
-        # The shared arrays are never written through.
-        assert np.array_equal(pagemap[0], np.isin(np.arange(PAGES), indices))
+                    assert np.array_equal(getattr(mapped[0], name),
+                                          getattr(populated[0], name)), name
+            # Two mappings of one pagemap evolve independently, each
+            # alike its populated twin, whatever the writers do.
+            for op, other in zip_longest(ops, others):
+                if op is not None:
+                    _write(mapped[0], op)
+                    _write(populated[0], op)
+                if other is not None:
+                    _write(mapped[1], other)
+                    _write(populated[1], other)
+            for vma, twin in zip(mapped, populated):
+                assert _observe(vma) == _observe(twin)
+        # The shared arrays are bitwise unchanged and still read-only.
+        for array, original in zip(pagemap, before):
+            assert array.dtype == original.dtype
+            assert array.tobytes() == original.tobytes()
+            assert not array.flags.writeable
+
+    def test_unwritten_mapping_shares_the_pagemap(self):
+        pagemap = _descriptor({1: "a", 5: "b"}).pagemap
+        vma = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON,
+                  pagemap=pagemap)
+        assert vma._resident is pagemap[0] and vma._tag_ids is pagemap[1]
+        vma.touch_range(1, 1)  # already resident, no tag: both stay shared
+        assert vma._resident is pagemap[0] and vma._tag_ids is pagemap[1]
+        vma.touch_range(0, 1)  # a new resident page
+        assert vma._resident is not pagemap[0]
+        assert vma._tag_ids is pagemap[1]
+        assert not pagemap[0][0]
+
+    def test_writable_pagemap_is_not_aliased(self):
+        resident = np.zeros(PAGES, dtype=bool)
+        resident[3] = True
+        tags = np.zeros(PAGES, dtype=np.int32)
+        vma = VMA(start=0, length=PAGES * PAGE_SIZE, kind=VMAKind.ANON,
+                  pagemap=(resident, tags))
+        vma.clear_soft_dirty()
+        resident[3] = False
+        assert vma.resident_indices.tolist() == [3]
+        assert vma.touched_indices().tolist() == []
 
     @given(pages=_pages)
     @settings(max_examples=40, deadline=None)
@@ -104,7 +155,8 @@ class TestCopiedPagemap:
 
     def test_range_check_runs_once_per_descriptor(self):
         desc = _descriptor({0: "a", PAGES: "b"})
-        with pytest.raises(MemoryError_, match="out of range"):
+        # The descriptor's pagemap is built from its checked indices.
+        with pytest.raises(ValueError, match="strictly increasing"):
             desc.pagemap
         with pytest.raises(MemoryError_, match="out of range"):
             pagemap_arrays(PAGES, np.array([-1]), np.array([0], np.int32))

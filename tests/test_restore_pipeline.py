@@ -19,6 +19,7 @@ from repro.criu.chunkcache import (
     FREQ_OVER_SIZE,
     LRU,
     HotChunkCache,
+    cache_enabled,
     make_cache,
 )
 from repro.criu.merkle import DEFAULT_ARITY, ImageMerkle, MerkleTree
@@ -252,6 +253,11 @@ class TestHotChunkCache:
         assert make_cache(LRU).policy == LRU
         with pytest.raises(ValueError, match="policy"):
             make_cache("clock")
+        # The predicate make_cache and the deployer share.
+        assert [cache_enabled(v) for v in (None, "none", "off", "", LRU)] \
+            == [False, False, False, False, True]
+        with pytest.raises(ValueError, match="policy"):
+            cache_enabled("clock")
 
 
 # ---------------------------------------------------------------------------
